@@ -9,23 +9,25 @@ cd "$(dirname "$0")/.."
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q
 
-echo "== kernel matrix =="
-# All backends must be bit-identical, so the kernel-sensitive suites
-# re-run under each forced backend.  numba is optional: when absent
-# its leg is skipped with a notice (requesting it would error).
-KERNEL_TESTS="tests/properties/test_kernel_backend_parity.py \
-    tests/cellular/test_reservation_cache.py tests/estimation \
-    tests/simulation/test_columnar.py tests/simulation/test_spatial.py"
-for KERNEL in python numpy; do
-    echo "-- REPRO_KERNEL=$KERNEL --"
-    REPRO_KERNEL=$KERNEL PYTHONPATH=src python -m pytest -x -q $KERNEL_TESTS
+echo "== benchmark digests =="
+# Every perfbench workload at both pinned seeds must reproduce the
+# digest pinned in perfbench/references.json, with no failed
+# operations: the one check against references kept outside the code.
+for SEED in 1 97; do
+    for WORKLOAD in ring_ac3 ring_static city_spatial serve_ring; do
+        LAST=$(python3 perfbench/run.py --workload "$WORKLOAD" --seed "$SEED" \
+            --seconds 2 --trace 0 | tail -n 1)
+        echo "$WORKLOAD seed=$SEED: $LAST"
+        case "$LAST" in
+            *'"correct": true'*) ;;
+            *) echo "incorrect result: $WORKLOAD seed=$SEED"; exit 1 ;;
+        esac
+        case "$LAST" in
+            *'"failed": 0'[,}]*) ;;
+            *) echo "failed operations: $WORKLOAD seed=$SEED"; exit 1 ;;
+        esac
+    done
 done
-if PYTHONPATH=src python -c "import numba" 2>/dev/null; then
-    echo "-- REPRO_KERNEL=numba --"
-    REPRO_KERNEL=numba PYTHONPATH=src python -m pytest -x -q $KERNEL_TESTS
-else
-    echo "-- numba not installed; skipping the numba kernel leg --"
-fi
 
 echo "== telemetry smoke =="
 PYTHONPATH=src python scripts/telemetry_smoke.py

@@ -1,46 +1,17 @@
-"""Estimation-kernel selection: numpy-batched, numba-jitted, or pure Python.
+"""Optional numpy support and the cross-cell Eq. 5 flush batch.
 
-This is the single place that imports :mod:`numpy` (and, lazily,
-:mod:`numba`).  The package works without either — every batched code
-path has a pure-Python ``bisect`` fallback — but when numpy is
-installed (``pip install repro[fast]``) the columnar F_HOE/Bayes
-kernels evaluate whole query batches with ``searchsorted`` + prefix
-sums instead of per-connection loops, and when numba is also installed
-(``pip install repro[fastest]``) the grouped flush evaluation can run
-through jitted binary-search loops with no per-array-op overhead.
-
-Selection order:
-
-1. an explicit :func:`set_kernel` call (``SimulationConfig.kernel``,
-   the ``--kernel`` CLI flag, and ``repro-bench --kernel`` end here);
-2. the ``REPRO_KERNEL`` environment variable
-   (``numpy`` / ``python`` / ``numba``);
-3. ``auto``: numpy when importable, python otherwise.  ``auto`` never
-   selects numba — JIT compilation is an explicit opt-in so short runs
-   don't pay compile cost by surprise.
-
-Requesting ``numpy`` without numpy, or ``numba`` without numba (or
-numpy, which it builds on), raises an informative error; the ``auto``
-and ``python`` kernels always work.  The resolved choice is logged
-once (logger ``repro.kernel``, INFO) so long runs record which kernel
-produced them.
-
-Besides selection, this module hosts the grouped gather/scatter used
-by the cross-cell coalesced reservation tick
-(:meth:`repro.cellular.network.CellularNetwork.flush_reservation_tick`):
-:class:`FlushBatch` accumulates the per-``prev``-block Eq. 4 binary
-searches of *every* supplier participating in one tick and evaluates
-all contributions in a single flush-level arithmetic pass.  All
-kernels produce bit-identical results — the vectorized arithmetic
-mirrors the scalar walk op for op.
+This is the single place that imports :mod:`numpy`.  The package works
+without it: every Eq. 5 evaluation then takes the resumable ``bisect``
+walk (:meth:`repro.estimation.function.HandoffEstimationFunction.batch_contributions`).
+With numpy installed (``pip install repro[fast]``), the supply step
+(:func:`repro.core.reservation.supply_contributions`) sends large
+unit-weight ``prev`` blocks to :class:`FlushBatch`, which evaluates
+the rows of every such block of one tick in a single columnar pass.
+Both paths produce bit-identical contributions: the vectorized
+arithmetic mirrors the scalar walk op for op.
 """
 
 from __future__ import annotations
-
-import logging
-import os
-
-logger = logging.getLogger("repro.kernel")
 
 try:  # the only eager numpy import in the package — keep it that way
     import numpy as _numpy
@@ -50,144 +21,47 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
 #: Whether the optional ``[fast]`` dependency is importable at all.
 HAS_NUMPY = _numpy is not None
 
-KERNELS = ("auto", "numpy", "python", "numba")
-
-_active: str | None = None
-
-#: Lazily probed numba availability (``None`` = not probed yet).  The
-#: probe only runs when the numba kernel is actually requested: a bare
-#: ``import numba`` costs seconds and must not tax numpy/python runs.
-_numba_available: bool | None = None
-
-#: The jitted-kernel module (:mod:`repro._kernel_numba`), loaded — and
-#: warm-compiled — on first activation of the numba kernel.
-_numba_kernels = None
-
-
-def has_numba() -> bool:
-    """Whether the optional numba dependency is importable (lazy probe)."""
-    global _numba_available
-    if _numba_available is None:
-        try:
-            import numba  # noqa: F401
-
-            _numba_available = True
-        except ImportError:
-            _numba_available = False
-    return _numba_available
-
-
-def _load_numba_kernels():
-    """Import and warm-compile the jitted kernels (numba kernel only).
-
-    ``numba.njit(cache=True)`` persists compiled machine code next to
-    the source, so only the very first selection on a machine pays the
-    JIT cost; subsequent runs (and processes) load from the cache.
-    """
-    global _numba_kernels
-    if _numba_kernels is None:
-        from repro import _kernel_numba
-
-        _kernel_numba.warm()
-        _numba_kernels = _kernel_numba
-    return _numba_kernels
-
-
-def _resolve(requested: str) -> str:
-    if requested == "auto":
-        return "numpy" if HAS_NUMPY else "python"
-    if requested == "numpy" and not HAS_NUMPY:
-        raise RuntimeError(
-            "the numpy kernel was requested but numpy is not installed;"
-            " install the optional extra (pip install 'repro[fast]')"
-            " or select --kernel python"
-        )
-    if requested == "numba":
-        if not HAS_NUMPY:
-            raise RuntimeError(
-                "the numba kernel was requested but numpy is not"
-                " installed; install the optional extra"
-                " (pip install 'repro[fastest]') or select another kernel"
-            )
-        if not has_numba():
-            raise RuntimeError(
-                "the numba kernel was requested but numba is not"
-                " installed; install the optional extra"
-                " (pip install 'repro[fastest]') or select --kernel"
-                " numpy / python — both produce bit-identical results"
-            )
-    return requested
-
-
-def set_kernel(name: str) -> str:
-    """Select the estimation kernel; returns the resolved name."""
-    global _active
-    if name not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {name!r}; expected one of {KERNELS}"
-        )
-    resolved = _resolve(name)
-    if resolved == "numba":
-        # Warm the JIT before the first simulated event so compile time
-        # never lands inside a measured run.
-        _load_numba_kernels()
-    if resolved != _active:
-        _active = resolved
-        logger.info(
-            "estimation kernel: %s%s",
-            resolved,
-            "" if HAS_NUMPY else " (numpy not installed)",
-        )
-    return resolved
-
 
 def kernel_name() -> str:
-    """The active kernel (``numpy``, ``numba`` or ``python``), resolved
-    lazily from ``REPRO_KERNEL`` / availability on first use."""
-    if _active is None:
-        set_kernel(os.environ.get("REPRO_KERNEL", "auto"))
-    return _active  # type: ignore[return-value]
+    """``numpy`` when numpy is importable (large blocks are batched),
+    else ``python`` (every block walks)."""
+    return "numpy" if HAS_NUMPY else "python"
 
 
 def numpy_or_none():
-    """The numpy module when an array kernel is active, else ``None``.
-
-    Batched code paths branch on this exactly once per batch, so the
-    per-call overhead is one function call and a string compare.  The
-    numba kernel builds on the same ndarray layout, so it also answers
-    numpy here; only the pure-python kernel returns ``None``.
-    """
-    return _numpy if kernel_name() in ("numpy", "numba") else None
+    """The numpy module, or ``None`` on numpy-free installs."""
+    return _numpy
 
 
 # ----------------------------------------------------------------------
-# grouped gather/scatter for the cross-cell coalesced tick
+# cross-cell flush batch of the Eq. 5 supply step
 # ----------------------------------------------------------------------
 class FlushSegment:
-    """Per ``(supplier, target)`` output of one coalesced tick.
+    """Per ``(supplier, target)`` output of one flush batch.
 
-    Holds the contribution of every supplier row (one per attached
-    connection, in the supplier's block order) and, after
-    :meth:`FlushBatch.resolve`, the Eq. 5 total summed in the
+    Holds the contribution of every row of the supplier's blocks (one
+    per attached connection whose ``prev`` has history, in block order)
+    and, after :meth:`FlushBatch.resolve`, the Eq. 5 total summed in the
     supplier's connection-iteration order (``perm`` maps that order to
     row positions) — the exact left-to-right addition sequence of the
-    per-supplier path.
+    naive per-connection loop.
     """
 
-    __slots__ = ("n_rows", "perm", "values", "total")
+    __slots__ = ("perm", "values", "walked", "total")
 
-    def __init__(self, n_rows: int, perm) -> None:
-        self.n_rows = n_rows
+    def __init__(self, values, perm) -> None:
         self.perm = perm
-        #: Row contributions; allocated lazily on the first block that
-        #: actually produces mass (rows of skipped blocks stay 0.0,
-        #: which adds nothing — bit-identically — to the total).
-        self.values = None
+        #: Row contributions, 0.0 for rows without mass (which adds
+        #: nothing — bit-identically — to the total).
+        self.values = values
+        #: ``row position -> contribution`` of the supplier's walked
+        #: blocks, scattered into :attr:`values` at resolve time.
+        self.walked: dict[int, float] = {}
         self.total = 0.0
 
 
 class FlushBatch:
-    """Cross-supplier accumulator of one coalesced tick's Eq. 4 batches.
+    """Cross-supplier accumulator of one tick's batched Eq. 4/5 rows.
 
     Suppliers register their per-``prev``-block binary-search results
     (:meth:`union_indices` / :meth:`add_part`); :meth:`resolve` then
@@ -200,8 +74,8 @@ class FlushBatch:
     so the Eq. 4 masses equal the search indices themselves and no
     prefix-sum gathers are needed.  The arithmetic replays the scalar
     walk op for op (subtract, divide, ``min``, scale), so every
-    contribution — and every total — is bit-identical to the
-    per-supplier paths.
+    contribution — and every total — is bit-identical to the walk and
+    to the naive reference.
     """
 
     __slots__ = (
@@ -229,7 +103,9 @@ class FlushBatch:
         self._segments: list[FlushSegment] = []
 
     def new_segment(self, n_rows: int, perm) -> FlushSegment:
-        segment = FlushSegment(n_rows, perm)
+        segment = FlushSegment(
+            self.np.zeros(n_rows, dtype=self.np.float64), perm
+        )
         self._segments.append(segment)
         return segment
 
@@ -297,88 +173,18 @@ class FlushBatch:
             for (segment, offset), length in zip(
                 self._targets, self._lengths
             ):
-                if segment.values is None:
-                    segment.values = np.zeros(
-                        segment.n_rows, dtype=np.float64
-                    )
                 segment.values[offset:offset + length] = contributions[
                     cursor:cursor + length
                 ]
                 cursor += length
         for segment in self._segments:
-            values = segment.values
-            if values is not None and segment.n_rows:
+            walked = segment.walked
+            if walked:
+                segment.values[list(walked)] = list(walked.values())
+            if len(segment.values):
                 # cumsum is a strict left-to-right recurrence, so the
                 # last element is the same addition sequence — hence
                 # the same float — as the per-connection Python loop.
                 segment.total = float(
-                    np.cumsum(values[segment.perm])[-1]
+                    np.cumsum(segment.values[segment.perm])[-1]
                 )
-
-
-class NumbaFlushBatch(FlushBatch):
-    """Flush batch whose per-part evaluation runs in jitted loops.
-
-    Same registration protocol and bit-identical results; the binary
-    searches and per-row arithmetic of each part run inside one
-    ``njit`` call (no per-array-op dispatch overhead), writing straight
-    into the segment's row array.  :meth:`resolve` then only totals.
-    """
-
-    __slots__ = ("kernels",)
-
-    def __init__(self, np, kernels) -> None:
-        super().__init__(np)
-        self.kernels = kernels
-
-    def union_indices(self, union_sojourns, extants):
-        return self.kernels.searchsorted_right(union_sojourns, extants)
-
-    def add_part(
-        self,
-        segment: FlushSegment,
-        offset: int,
-        idx_u,
-        union_len: int,
-        target_sojourns,
-        extants,
-        extants_high,
-        bases,
-    ) -> None:
-        if segment.values is None:
-            segment.values = self.np.zeros(
-                segment.n_rows, dtype=self.np.float64
-            )
-        self.kernels.unit_part_contributions(
-            idx_u,
-            union_len,
-            target_sojourns,
-            extants,
-            extants_high,
-            bases,
-            segment.values,
-            offset,
-        )
-
-    def resolve(self) -> None:
-        np = self.np
-        for segment in self._segments:
-            values = segment.values
-            if values is not None and segment.n_rows:
-                segment.total = float(
-                    np.cumsum(values[segment.perm])[-1]
-                )
-
-
-def flush_batch_or_none():
-    """A fresh :class:`FlushBatch` for the active kernel, or ``None``.
-
-    ``None`` under the pure-python kernel — the caller then keeps the
-    per-supplier resumable-walk path.
-    """
-    kernel = kernel_name()
-    if kernel == "numba":
-        return NumbaFlushBatch(_numpy, _load_numba_kernels())
-    if kernel == "numpy":
-        return FlushBatch(_numpy)
-    return None

@@ -7,7 +7,6 @@ importable and leaves an artifact behind::
     python scripts/bench.py            # full run, writes BENCH_<date>.json
     python scripts/bench.py --smoke    # CI-sized sanity run
     repro-bench --output out.json      # installed console entry point
-    repro-bench --kernel python        # force the pure-Python kernel
     repro-bench --profile              # cProfile the run, print the top-N
     repro-bench --compare BENCH_x.json # per-bench speedups vs a baseline
     repro-bench --history              # markdown trend over BENCH_*.json
@@ -53,7 +52,7 @@ from datetime import date
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro._kernel import KERNELS, kernel_name, set_kernel
+from repro._kernel import kernel_name
 from repro.cellular.network import CellularNetwork
 from repro.obs import configure_logging, ensure_configured
 from repro.cellular.topology import LinearTopology
@@ -906,17 +905,12 @@ def bench_ac3_telemetry(smoke: bool) -> dict:
         # as retired rather than silently vanished.
         "eq5_memo": "retired",
         # Fraction of Eq. 4 *rows* (per-connection evaluations) served
-        # by the vectorized kernel — the row-weighted version of the
-        # batch fraction, and the number the grouped flush moves.
+        # by the numpy flush batch — the row-weighted version of the
+        # batch fraction.  Informational: the supply step's block-size
+        # rule decides it, so it is not gated.
         "eq4_numpy_row_fraction": _rate(
             counters.get('estimation.eq4_rows{kernel="numpy"}', 0),
             counters.get('estimation.eq4_rows{kernel="python"}', 0),
-        ),
-        # Fraction of tick-flush suppliers evaluated through the
-        # cross-cell grouped batch (vs the per-supplier fallback).
-        "tick_grouped_fraction": _rate(
-            counters.get('cellular.tick_suppliers{path="grouped"}', 0),
-            counters.get('cellular.tick_suppliers{path="fallback"}', 0),
         ),
         "eq4_numpy_batch_fraction": _rate(
             counters.get('estimation.eq4_batches{kernel="numpy"}', 0),
@@ -1074,11 +1068,6 @@ def _throughputs(report: dict) -> dict[str, float]:
     return flat
 
 
-#: Telemetry fractions (0..1) gated by ``--compare`` alongside the
-#: throughputs: a drop of more than the threshold (absolute) means the
-#: fast path stopped covering the work it used to cover.
-_TRACKED_FRACTIONS = ("eq4_numpy_row_fraction", "tick_grouped_fraction")
-
 #: Hard ceiling on the streaming sampler's throughput cost, gated by
 #: ``--compare`` independently of ``--regression-threshold``: sampling
 #: is meant to be cheap enough to leave on in production runs.
@@ -1090,15 +1079,6 @@ _SAMPLING_OVERHEAD_LIMIT = 0.05
 _SERVE_DECISIONS_FLOOR = 10_000.0
 
 
-def _fractions(report: dict) -> dict[str, float]:
-    telemetry = report.get("telemetry", {})
-    return {
-        name: telemetry[name]
-        for name in _TRACKED_FRACTIONS
-        if isinstance(telemetry.get(name), (int, float))
-    }
-
-
 def compare_reports(
     baseline: dict, current: dict, threshold: float
 ) -> list[str]:
@@ -1107,9 +1087,7 @@ def compare_reports(
     A bench regresses when its throughput falls below
     ``baseline * (1 - threshold)``.  Benches present in only one report
     are listed but never counted as regressions (the harness itself
-    evolves — e.g. ``handoff_probability`` became batched).  Tracked
-    telemetry fractions regress on an *absolute* drop larger than the
-    threshold (they are already normalized to [0, 1]).  The streaming
+    evolves — e.g. ``handoff_probability`` became batched).  The streaming
     sampler's ``overhead_fraction`` is gated against the fixed
     :data:`_SAMPLING_OVERHEAD_LIMIT` (no baseline needed: the ceiling
     is absolute).
@@ -1133,25 +1111,6 @@ def compare_reports(
         print(
             f"{name:<28} {base[name]:>14,.0f} {now[name]:>14,.0f}"
             f" {speedup:>7.2f}x{flag}"
-        )
-    base_fractions = _fractions(baseline)
-    now_fractions = _fractions(current)
-    for name in sorted(base_fractions.keys() | now_fractions.keys()):
-        if name not in base_fractions:
-            print(f"{name:<28} {'-':>14} {now_fractions[name]:>13.1%} "
-                  f"{'new':>8}")
-            continue
-        if name not in now_fractions:
-            print(f"{name:<28} {base_fractions[name]:>13.1%} {'-':>14} "
-                  f"{'gone':>8}")
-            continue
-        flag = ""
-        if now_fractions[name] < base_fractions[name] - threshold:
-            regressions.append(name)
-            flag = "  ** REGRESSION"
-        print(
-            f"{name:<28} {base_fractions[name]:>13.1%} "
-            f"{now_fractions[name]:>13.1%}{flag}"
         )
     overhead = current.get("sampling", {}).get("overhead_fraction")
     if isinstance(overhead, (int, float)):
@@ -1382,7 +1341,6 @@ def _print_report(report: dict, output: Path) -> None:
             f" snapshot_hit={telemetry['snapshot_hit_rate']:.1%}"
             f" pool_hit={telemetry['event_pool_hit_rate']:.1%}"
             f" eq4_numpy_rows={telemetry['eq4_numpy_row_fraction']:.1%}"
-            f" tick_grouped={telemetry['tick_grouped_fraction']:.1%}"
         )
     sampling = report.get("sampling")
     if sampling:
@@ -1412,10 +1370,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--output", type=Path, default=None, metavar="FILE",
         help="report path (default: ./BENCH_<date>.json)",
-    )
-    parser.add_argument(
-        "--kernel", default=None, choices=list(KERNELS),
-        help="estimation kernel to benchmark (default: auto-detect)",
     )
     parser.add_argument(
         "--profile", nargs="?", type=int, const=25, default=None,
@@ -1473,8 +1427,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         configure_logging(spec=args.log_level, json_lines=args.log_json)
     else:
         ensure_configured()
-    if args.kernel is not None:
-        set_kernel(args.kernel)
     if args.profile is not None:
         import cProfile
         import pstats

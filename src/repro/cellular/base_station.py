@@ -20,10 +20,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.cellular.cell import Cell
-from repro.core.reservation import (
-    aggregate_reservation,
-    expected_handoff_bandwidth,
-)
 from repro.core.window import EstimationWindowController
 from repro.estimation.estimator import MobilityEstimator
 
@@ -55,7 +51,6 @@ class BaseStation:
         network: "CellularNetwork",
         estimator: MobilityEstimator,
         window_controller: EstimationWindowController,
-        reservation_cache: bool = True,
     ) -> None:
         self.cell = cell
         self.network = network
@@ -65,15 +60,8 @@ class BaseStation:
         self.reservation_calculations = 0
         #: Inter-BS (or BS<->MSC) messages attributable to this station.
         self.messages_sent = 0
-        #: Whether Eq. 5 runs over the cell's incremental columnar
-        #: ``prev``-buckets (batched kernels, grouped flush).  Disabling
-        #: falls back to the naive rescan-everything path — useful to
-        #: verify equivalence.
-        self.reservation_cache_enabled = reservation_cache
         #: Cached neighbour stations (the topology is immutable).
         self._neighbor_stations: list["BaseStation"] | None = None
-        #: ``(cell version, plan)`` memo of :meth:`grouped_flush_plan`.
-        self._flush_plan: tuple[int, tuple | None] | None = None
 
     @property
     def cell_id(self) -> int:
@@ -97,174 +85,16 @@ class BaseStation:
     # ------------------------------------------------------------------
     # distributed reservation (Eqs. 5-6)
     # ------------------------------------------------------------------
-    def outgoing_reservation(self, now: float, target_cell: int,
-                             t_est: float) -> float:
-        """Eq. 5: expected hand-off bandwidth from here toward a neighbour.
-
-        The cell's incrementally maintained columnar ``prev``-buckets
-        (:meth:`repro.cellular.cell.Cell.reservation_groups`) are handed
-        to the estimator, which evaluates each bucket against one F_HOE
-        snapshot in a single batched pass — vectorized under the numpy
-        kernel, a resumable binary-search walk otherwise.  With the
-        batched path disabled (or a duck-typed estimator that predates
-        it), Eq. 5 rescans every connection individually; both paths are
-        bit-identical.
-        """
-        if (
-            not self.reservation_cache_enabled
-            or getattr(self.estimator, "version", None) is None
-        ):
-            return expected_handoff_bandwidth(
-                self.estimator,
-                now,
-                self.cell.connections(),
-                target_cell,
-                t_est,
-            )
-        return expected_handoff_bandwidth(
-            self.estimator,
-            now,
-            self.cell.connections(),
-            target_cell,
-            t_est,
-            groups=self.cell.reservation_groups(),
-        )
-
-    def outgoing_reservation_multi(
-        self, now: float, requests: list[tuple[int, float]]
-    ) -> list[float]:
-        """Batched :meth:`outgoing_reservation` over several targets.
-
-        The coalesced estimation tick asks each supplier for all of its
-        pending ``(target_cell, t_est)`` contributions at once, so the
-        estimator can walk every ``prev``-bucket a single time and feed
-        the Eq. 4 kernel one large batch instead of one batch per
-        target.  The returned values are identical to issuing the
-        per-target calls in order at the same ``now``.
-        """
-        estimator = self.estimator
-        multi = getattr(estimator, "expected_bandwidth_multi", None)
-        if (
-            not self.reservation_cache_enabled
-            or getattr(estimator, "version", None) is None
-            or multi is None
-        ):
-            # Batched path disabled or a duck-typed / calendar estimator
-            # without a batched entry point: per-target calls are the
-            # batched path, by definition of equivalence.
-            return [
-                self.outgoing_reservation(now, target, t_est)
-                for target, t_est in requests
-            ]
-        return multi(
-            now,
-            self.cell.connections(),
-            requests,
-            groups=self.cell.reservation_groups(),
-        )
-
-    def grouped_flush_plan(self, np):
-        """This supplier's columnar layout for the cross-cell flush.
-
-        ``(entries, bases, blocks, perm, n_rows)`` where ``entries`` /
-        ``bases`` are the cell's ``prev``-bucket columns concatenated
-        into one float64 array each, ``blocks`` lists
-        ``(prev, start, end)`` slices into them, and ``perm`` maps
-        connection-iteration order to row positions (so flush totals
-        replay the exact addition order of the per-supplier path).
-        Cached until the cell version changes — attach/detach/QoS
-        re-sizing all bump it.  ``None`` when the layout cannot be
-        built (no rows, or rows that do not one-to-one match the
-        attached connections); callers then fall back to
-        :meth:`outgoing_reservation_multi`.
-
-        The permutation is derived from the cell-wide attach sequence
-        numbers: ascending sequence *is* connection-iteration order, so
-        one ``argsort`` over the concatenated bucket sequences replaces
-        a per-connection Python walk (the plan is rebuilt on nearly
-        every flush — cell versions churn with every attach/detach — so
-        build cost is on the hot path).
-        """
-        cached = self._flush_plan
-        cell = self.cell
-        version = cell.version
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        blocks = []
-        entry_parts = []
-        basis_parts = []
-        seq_parts = []
-        start = 0
-        for prev, group in cell.reservation_groups().items():
-            end = start + len(group.keys)
-            entries, bases = group.arrays(np)
-            entry_parts.append(entries)
-            basis_parts.append(bases)
-            seq_parts.append(group.seq_array(np))
-            blocks.append((prev, start, end))
-            start = end
-        plan = None
-        if start and start == cell.connection_count:
-            if len(seq_parts) == 1:
-                seqs = seq_parts[0]
-                entries_cat = entry_parts[0]
-                bases_cat = basis_parts[0]
-            else:
-                seqs = np.concatenate(seq_parts)
-                entries_cat = np.concatenate(entry_parts)
-                bases_cat = np.concatenate(basis_parts)
-            plan = (entries_cat, bases_cat, blocks, np.argsort(seqs), start)
-        self._flush_plan = (version, plan)
-        return plan
-
-    def grouped_contribution_eval(self, np, now, requests, batch):
-        """Register this supplier's Eq. 5 work into a cross-cell flush.
-
-        Returns one result slot per ``(target_cell, t_est)`` request —
-        a :class:`repro._kernel.FlushSegment` whose ``total`` is valid
-        after ``batch.resolve()``, a plain float when the answer is
-        already known (no connections), or ``None`` inside the list for
-        ``t_est <= 0`` requests (their contribution is 0.0).  Returns
-        ``None`` *instead of a list* when this supplier cannot join the
-        grouped flush (batched path disabled, duck-typed estimator,
-        route oracle, non-unit-weight snapshots, unplannable layout);
-        the caller must then use :meth:`outgoing_reservation_multi`,
-        which computes bit-identical values supplier-locally.
-        """
-        if not self.reservation_cache_enabled:
-            return None
-        estimator = self.estimator
-        parts = getattr(estimator, "grouped_flush_parts", None)
-        if parts is None or getattr(estimator, "version", None) is None:
-            return None
-        if not self.cell.reservation_groups():
-            # No connections: every Eq. 5 contribution is exactly 0.0.
-            return [0.0] * len(requests)
-        plan = self.grouped_flush_plan(np)
-        if plan is None:
-            return None
-        return parts(np, now, requests, plan, batch)
-
     def update_target_reservation(self, now: float) -> float:
         """Eq. 6: recompute and install this cell's ``B_r``.
 
         Models the protocol of §4.1: this BS announces ``T_est`` to each
         neighbour (one message each), every neighbour answers with its
-        Eq. 5 contribution (one message each).
+        Eq. 5 contribution (one message each).  Runs as a one-target
+        :meth:`~repro.cellular.network.CellularNetwork.refresh_reservations`.
         """
-        contributions = []
-        network = self.network
-        for neighbor in self.neighbor_stations():
-            self.messages_sent += 1  # announce T_est to the neighbour
-            contributions.append(
-                neighbor.outgoing_reservation(now, self.cell_id, self.t_est)
-            )
-            neighbor.messages_sent += 1  # neighbour returns B_{i,0}
-            network.count_messages(2)
-        reservation = aggregate_reservation(contributions)
-        self.cell.reserved_target = reservation
-        self.reservation_calculations += 1
-        return reservation
+        self.network.refresh_reservations(now, [self.cell_id])
+        return self.cell.reserved_target
 
     # ------------------------------------------------------------------
     # hand-off bookkeeping

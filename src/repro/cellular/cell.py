@@ -11,8 +11,8 @@ admitted connections.  Two admission paths exist, mirroring the paper:
 The cell itself only does bandwidth accounting; *which* reservation
 target applies is decided by the admission policy.  As a side product
 of that accounting it maintains columnar ``prev``-buckets of its
-connections (:class:`ReservationGroup`), the batch input of the Eq. 5
-kernels.
+connections (:class:`ReservationGroup`), the input of the Eq. 5
+supply step.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ class ReservationGroup:
     Three parallel lists sorted ascending by entry time: connection ids,
     cell entry times, and reservation bases (both immutable while a
     connection stays attached).  Sorted order is what lets the Eq. 5
-    kernels run a single vectorized ``searchsorted`` pass (numpy) or a
-    resumable binary-search walk (python) over the whole bucket without
-    re-sorting per reservation update.  Simulated attaches happen at
+    supply step run a resumable binary-search walk, or one vectorized
+    ``searchsorted`` pass, over the whole bucket without re-sorting per
+    reservation update.  Simulated attaches happen at
     ``now`` so the common insert is an append; out-of-order entry times
     (synthetic populations) fall back to an insort.
     """
@@ -49,10 +49,9 @@ class ReservationGroup:
         self.entries: list[float] = []
         self.bases: list[float] = []
         #: Cell-wide attach sequence numbers (see :attr:`Cell.attach`):
-        #: ``argsort`` over the concatenated ``seqs`` of all buckets
-        #: reproduces the cell's connection-iteration order, which is
-        #: what lets the grouped flush build its summation permutation
-        #: with one array op instead of a per-connection Python walk.
+        #: ascending sequence over all buckets reproduces the cell's
+        #: connection-iteration order, which is the order the Eq. 5
+        #: supply step sums contributions in.
         self.seqs: list[int] = []
         #: Cached ``(entries, bases)`` ndarray pair (see :meth:`arrays`);
         #: invalidated by every mutation.
@@ -121,7 +120,7 @@ class ReservationGroup:
 
         Reservation updates re-query the same (unchanged) groups for
         every neighbour target; caching the conversion keeps the numpy
-        Eq. 5 path from re-materialising arrays each time.
+        flush batch from re-materialising arrays each time.
         """
         cached = self._arrays
         if cached is None:
@@ -179,9 +178,8 @@ class Cell:
         #: this cell (``B_r^{prev}`` in the AC3 description, §4.3).  For the
         #: static scheme this is the constant guard band ``G``.
         self.reserved_target = 0.0
-        #: Monotone counter bumped on every attach/detach/adjustment;
-        #: lets the base station's reservation cache detect that its
-        #: memoized Eq. 5 contributions may be stale.
+        #: Monotone counter bumped on every attach/detach/adjustment
+        #: (checkpointed with the cell).
         self.version = 0
         self._connections: dict[int, "Connection"] = {}
         #: Incremental ``prev -> ReservationGroup`` buckets over the
@@ -351,9 +349,8 @@ class Cell:
             )
         self.used_bandwidth += delta
         connection.allocated_bandwidth = new_bandwidth
-        # The reservation basis (minimum rate) is unaffected, but bump
-        # the version so memoized Eq. 5 results are conservatively
-        # recomputed after a QoS adaptation.
+        # The reservation basis (minimum rate) is unaffected; the
+        # version still records the change.
         self.version += 1
 
     def _discard_from_groups(self, connection: "Connection") -> None:

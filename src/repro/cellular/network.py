@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from repro._kernel import flush_batch_or_none
 from repro.cellular.base_station import BaseStation
 from repro.obs.trace import get_tracer
-from repro.core.reservation import aggregate_reservation
+from repro.core.reservation import aggregate_reservation, supply_contributions
 from repro.cellular.cell import Cell
 from repro.cellular.topology import Topology
 from repro.core.window import EstimationWindowController, WindowControllerConfig
@@ -37,23 +36,6 @@ class CellularNetwork:
         spatial runner uses this to build
         :class:`~repro.simulation.columnar.ColumnarCell` cells whose
         attached sets live in a shared connection store.
-    reservation_cache:
-        Whether base stations evaluate Eq. 5 over their incremental
-        columnar buckets (see
-        :meth:`repro.cellular.base_station.BaseStation.outgoing_reservation`);
-        disabling forces the naive per-connection rescan.
-    coalesced_tick:
-        Whether admission policies may coalesce the reservation updates
-        of one admission test into a single batched estimation tick
-        (see :meth:`flush_reservation_tick`).  Off by default so direct
-        constructions behave exactly as before; the simulator turns it
-        on via :attr:`repro.simulation.config.SimulationConfig.coalesced_tick`.
-    grouped_flush:
-        Whether a tick flush may gather the Eq. 4/5 rows of *all*
-        suppliers into one cross-cell batch
-        (:class:`repro._kernel.FlushBatch`) instead of evaluating each
-        supplier separately.  Pure optimisation — bit-identical either
-        way; the switch keeps the equivalence testable.
     """
 
     def __init__(
@@ -65,13 +47,8 @@ class CellularNetwork:
         estimator_factory: Callable[[int], MobilityEstimator] | None = None,
         cell_factory: Callable[[int, float, float], Cell] | None = None,
         handoff_overload: float = 1.0,
-        reservation_cache: bool = True,
-        coalesced_tick: bool = False,
-        grouped_flush: bool = True,
     ) -> None:
         self.topology = topology
-        self.coalesced_tick = coalesced_tick
-        self.grouped_flush = grouped_flush
         #: The run's span tracer (a shared no-op when tracing is off);
         #: grabbed at construction like the telemetry handles are.
         self.tracer = get_tracer()
@@ -81,13 +58,9 @@ class CellularNetwork:
         #: (telemetry: targets-per-flush is the coalescing win).
         self.tick_flushes = 0
         self.tick_targets = 0
-        #: Suppliers evaluated through the cross-cell batch vs through
-        #: the per-supplier fallback, across all tick flushes.
-        self.tick_grouped_suppliers = 0
-        self.tick_fallback_suppliers = 0
         #: Running inter-BS message total (kept in sync with the
-        #: per-station ``messages_sent`` counters via
-        #: :meth:`count_messages`, so the per-admission message deltas
+        #: per-station ``messages_sent`` counters by
+        #: :meth:`refresh_reservations`, so the per-admission message deltas
         #: need no sweep over all stations).
         self._messages_total = 0
         self.cells: list[Cell] = []
@@ -112,13 +85,7 @@ class CellularNetwork:
             )
             self.cells.append(cell)
             self.stations.append(
-                BaseStation(
-                    cell,
-                    self,
-                    estimator,
-                    controller,
-                    reservation_cache=reservation_cache,
-                )
+                BaseStation(cell, self, estimator, controller)
             )
 
     @property
@@ -156,111 +123,60 @@ class CellularNetwork:
         the Eq. 5 inputs (connection sets, ``T_est``, estimator state)
         are frozen — installing one target's ``reserved_target`` cannot
         change another's contributions.  The batching win is on the
-        supplier side, at two levels: each supplier evaluates all of
-        its pending targets at once, and — under an array kernel with
-        :attr:`grouped_flush` on — the rows of *every* supplier are
-        gathered into one cross-cell :class:`repro._kernel.FlushBatch`
-        whose searches and arithmetic run as a single columnar pass.
-        Suppliers that cannot join the batch (non-unit-weight
-        snapshots, route oracles, duck-typed estimators, disabled
-        batching) fall back to
-        :meth:`~repro.cellular.base_station.BaseStation.outgoing_reservation_multi`
-        supplier-locally; mixing the paths never changes a result.
+        supplier side: each supplier answers all of its pending targets
+        in one pass over its ``prev`` blocks, and large blocks of every
+        supplier share one cross-cell numpy batch
+        (:func:`repro.core.reservation.supply_contributions`).
         """
         dirty = self._reservation_dirty
         if not dirty:
             return
+        self._reservation_dirty = []
         tracer = self.tracer
         if not tracer.enabled:
-            self._flush_tick(now, dirty)
-            return
-        with tracer.span("kernel.flush_tick", targets=len(dirty)):
-            self._flush_tick(now, dirty)
+            self.refresh_reservations(now, dirty)
+        else:
+            with tracer.span("kernel.flush_tick", targets=len(dirty)):
+                self.refresh_reservations(now, dirty)
+        self.tick_flushes += 1
+        self.tick_targets += len(dirty)
 
-    def _flush_tick(self, now: float, dirty: list[int]) -> None:
-        self._reservation_dirty = []
-        # Plan phase: count the protocol messages in the exact sequential
-        # order (announce then reply, per target then per neighbour) and
-        # bucket the Eq. 5 requests by supplier.
+    def refresh_reservations(self, now: float, cell_ids: list[int]) -> None:
+        """Recompute and install ``B_r`` (Eq. 6) of ``cell_ids``.
+
+        Counts the §4.1 protocol messages in the sequential order
+        (announce then reply, per target then per neighbour), answers
+        every Eq. 5 request in one supply step, and installs each
+        target's Eq. 6 sum in its own neighbour order.
+        """
         plan: list[tuple[BaseStation, list[BaseStation]]] = []
-        requests: dict[int, list[tuple[int, float]]] = {}
+        requests: dict[BaseStation, list[tuple[int, float]]] = {}
         message_pairs = 0
-        for cell_id in dirty:
+        for cell_id in cell_ids:
             station = self.stations[cell_id]
             neighbors = station.neighbor_stations()
             plan.append((station, neighbors))
             for neighbor in neighbors:
                 station.messages_sent += 1  # announce T_est
-                requests.setdefault(neighbor.cell_id, []).append(
+                requests.setdefault(neighbor, []).append(
                     (cell_id, station.t_est)
                 )
                 neighbor.messages_sent += 1  # neighbour returns B_{i,0}
                 message_pairs += 1
         self._messages_total += 2 * message_pairs
-        # Supply phase: one cross-cell batch, with per-supplier batched
-        # calls as the fallback.
-        supplies: dict[int, Iterator[float]] = {}
-        batch = flush_batch_or_none() if self.grouped_flush else None
-        if batch is not None:
-            np = batch.np
-            deferred: list[tuple[int, list]] = []
-            for supplier_id, pending in requests.items():
-                supplier = self.stations[supplier_id]
-                slots = supplier.grouped_contribution_eval(
-                    np, now, pending, batch
-                )
-                if slots is None:
-                    self.tick_fallback_suppliers += 1
-                    supplies[supplier_id] = iter(
-                        supplier.outgoing_reservation_multi(now, pending)
-                    )
-                else:
-                    self.tick_grouped_suppliers += 1
-                    deferred.append((supplier_id, slots))
-            if deferred:
-                batch.resolve()
-                for supplier_id, slots in deferred:
-                    supplies[supplier_id] = iter(
-                        [
-                            0.0
-                            if slot is None
-                            else (
-                                slot
-                                if type(slot) is float
-                                else slot.total
-                            )
-                            for slot in slots
-                        ]
-                    )
-        else:
-            supplies = {
-                supplier_id: iter(
-                    self.stations[supplier_id].outgoing_reservation_multi(
-                        now, pending
-                    )
-                )
-                for supplier_id, pending in requests.items()
-            }
-        # Install phase: re-assemble each target's contributions in the
-        # neighbour order the sequential path would have used.
+        supplies = {
+            supplier: iter(values)
+            for supplier, values in supply_contributions(now, requests).items()
+        }
         for station, neighbors in plan:
-            contributions = [
-                next(supplies[neighbor.cell_id]) for neighbor in neighbors
-            ]
             station.cell.reserved_target = aggregate_reservation(
-                contributions
+                [next(supplies[neighbor]) for neighbor in neighbors]
             )
             station.reservation_calculations += 1
-        self.tick_flushes += 1
-        self.tick_targets += len(plan)
 
     def total_used_bandwidth(self) -> float:
         """Bandwidth in use across the whole network (BUs)."""
         return sum(cell.used_bandwidth for cell in self.cells)
-
-    def count_messages(self, count: int) -> None:
-        """Note inter-BS messages just added to a station's counter."""
-        self._messages_total += count
 
     def total_messages(self) -> int:
         """Inter-BS messages sent by all stations so far (O(1))."""

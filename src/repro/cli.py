@@ -293,12 +293,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--overload", type=float, default=1.0,
                         metavar="FACTOR",
                         help="CDMA soft-capacity hand-off margin (§7)")
-    parser.add_argument("--kernel", default="auto",
-                        choices=["auto", "numpy", "python", "numba"],
-                        help="estimation kernel: numpy-batched, jitted"
-                        " numba flush kernels ([fastest] extra, explicit"
-                        " opt-in), or pure python; auto picks numpy when"
-                        " installed, all produce bit-identical metrics")
 
 
 def _add_spatial_arguments(parser: argparse.ArgumentParser) -> None:
@@ -490,7 +484,6 @@ def _build_config(args: argparse.Namespace, load: float | None = None):
         "adaptive_qos": args.adaptive_qos,
         "soft_handoff_window": args.soft_handoff,
         "handoff_overload": args.overload,
-        "kernel": args.kernel,
         "telemetry": _wants_telemetry(args),
         "progress_interval": getattr(args, "progress", 0.0),
         **_series_overrides(args),
@@ -575,7 +568,6 @@ def _build_spatial_config(args: argparse.Namespace):
         static_guard=args.guard,
         adaptive_qos=args.adaptive_qos,
         soft_handoff_window=args.soft_handoff,
-        kernel=args.kernel,
         telemetry=_wants_telemetry(args),
         progress_interval=args.progress,
         **_series_overrides(args),

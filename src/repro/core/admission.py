@@ -84,27 +84,20 @@ class AdmissionPolicy(abc.ABC):
         """Hook: one-time setup when attached to a network."""
 
 
-def _use_coalesced_tick(
-    network: CellularNetwork, station, neighbors=None
-) -> bool:
+def _distinct_targets(network: CellularNetwork, station, neighbors) -> bool:
     """Whether an admission test may batch its ``B_r`` updates.
 
-    Requires the network to opt in *and* the participating target set
-    (the station plus, when given, its neighbours) to be duplicate-free:
-    with duplicated targets (only possible with hand-rolled topologies
-    whose ``neighbors`` repeats a cell) the sequential path re-checks
-    state between the two updates of the same cell, which a single
-    batched flush cannot reproduce.  Duplicate-freeness is a property
-    of the immutable topology, so it is checked once per cell and
-    memoized on the network.
+    Requires the participating target set (the station plus its
+    neighbours) to be duplicate-free: with duplicated targets (only
+    possible with hand-rolled topologies whose ``neighbors`` repeats a
+    cell) the sequential path re-checks state between the two updates
+    of the same cell, which a single batched flush cannot reproduce.
+    Duplicate-freeness is a property of the immutable topology, so it
+    is checked once per cell and memoized on the network.
     """
-    if not getattr(network, "coalesced_tick", False):
-        return False
-    if neighbors is None:
-        return True  # a single target cannot duplicate
-    cache = getattr(network, "_coalesced_tick_ok", None)
+    cache = getattr(network, "_distinct_target_memo", None)
     if cache is None:
-        cache = network._coalesced_tick_ok = {}
+        cache = network._distinct_target_memo = {}
     ok = cache.get(station.cell_id)
     if ok is None:
         cell_ids = [station.cell_id]
@@ -164,11 +157,8 @@ class AC1(AdmissionPolicy):
     ) -> AdmissionDecision:
         station = network.station(cell_id)
         messages_before = network.total_messages()
-        if _use_coalesced_tick(network, station):
-            network.mark_reservation_dirty(cell_id)
-            network.flush_reservation_tick(now)
-        else:
-            station.update_target_reservation(now)
+        network.mark_reservation_dirty(cell_id)
+        network.flush_reservation_tick(now)
         admitted = station.cell.fits_new_connection(bandwidth)
         return AdmissionDecision(
             admitted=admitted,
@@ -194,7 +184,7 @@ class AC2(AdmissionPolicy):
         calculations = 0
         admitted = True
         neighbors = station.neighbor_stations()
-        if _use_coalesced_tick(network, station, neighbors):
+        if _distinct_targets(network, station, neighbors):
             # One batched estimation tick.  Bit-identical to the
             # sequential loop below: within a single test at fixed
             # ``now`` the Eq. 5 inputs are frozen, and installing one
@@ -245,7 +235,7 @@ class AC3(AdmissionPolicy):
         calculations = 0
         admitted = True
         neighbors = station.neighbor_stations()
-        if _use_coalesced_tick(network, station, neighbors):
+        if _distinct_targets(network, station, neighbors):
             # Suspectness can be read up front: a neighbour's suspect
             # bit depends only on its own state, which the other
             # updates of this test never touch.  The batched flush then

@@ -19,9 +19,9 @@ quadruplets arrive or (for finite ``T_int``) when the snapshot is older
 than ``rebuild_interval`` — a documented approximation of the paper's
 continuously sliding periodic windows.  Infinite-interval snapshots are
 assembled from the cache's columnar fast path (sorted sojourn columns,
-no per-entry wrappers); Eq. 4/5 batches then evaluate over whole
-per-``prev`` connection populations in one vectorized pass when the
-numpy kernel is active (:mod:`repro._kernel`).
+no per-entry wrappers).  The simulator's Eq. 5 evaluation runs over
+these snapshots in :func:`repro.core.reservation.supply_contributions`;
+:meth:`MobilityEstimator.expected_bandwidth` is its naive reference.
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ from repro.estimation.cache import CacheConfig, QuadrupletCache
 from repro.estimation.function import HandoffEstimationFunction
 from repro.estimation.quadruplet import HandoffQuadruplet
 from repro.obs.telemetry import get_telemetry
-
-#: Group size below which the resumable pure-Python walk beats the
-#: vectorized kernel (ndarray call overhead dominates tiny batches;
-#: measured crossover is ~32 rows on CPython 3.11 + numpy 2.x).  Both
-#: paths compute bit-identical contributions, so mixing them per group
-#: never changes metrics.
-_VECTOR_MIN_ROWS = 32
 
 
 class MobilityEstimator:
@@ -65,9 +58,8 @@ class MobilityEstimator:
             int | None, tuple[float, HandoffEstimationFunction]
         ] = {}
         self._dirty: set[int | None] = set()
-        #: Monotone counter bumped on every new observation.  Consumers
-        #: (the base-station reservation cache) treat any change as
-        #: "every F_HOE snapshot may differ" and recompute.
+        #: Monotone counter bumped on every new observation: any change
+        #: means "every F_HOE snapshot may differ".
         self.version = 0
         # Observability counters (plain ints, harvested at end of run).
         #: Snapshot cache: reuses vs (re)builds vs dirty invalidations.
@@ -146,7 +138,7 @@ class MobilityEstimator:
         self.snapshot_builds += 1
         return snapshot
 
-    def _count_dispatch(self, vectorized: bool, rows: int) -> None:
+    def count_dispatch(self, vectorized: bool, rows: int) -> None:
         """Record one Eq. 4/5 batch dispatch (kernel choice + size)."""
         if vectorized:
             self.eq4_vector_batches += 1
@@ -198,7 +190,7 @@ class MobilityEstimator:
         """
         snapshot = self.function_for(now, prev)
         queries = list(extant_sojourns)
-        self._count_dispatch(numpy_or_none() is not None, len(queries))
+        self.count_dispatch(numpy_or_none() is not None, len(queries))
         return snapshot.batch_probabilities(next_cell, queries, t_est)
 
     def handoff_probabilities(
@@ -228,257 +220,39 @@ class MobilityEstimator:
         connections,
         target_cell: int,
         t_est: float,
-        groups: dict | None = None,
     ) -> float:
-        """Eq. 5 in batch: expected hand-off bandwidth toward a cell.
+        """Eq. 5: expected hand-off bandwidth toward a cell.
 
-        Equivalent to summing ``bandwidth * handoff_probability(...)``
-        over ``connections`` but fetches each ``prev`` snapshot once —
-        this is the hot path of the reservation protocol.
-
-        ``groups`` is an optional pre-bucketed columnar view of
-        ``connections`` (``prev -> ReservationGroup`` with parallel
-        key/entry-time/basis arrays sorted by entry time, as maintained
-        incrementally by :class:`repro.cellular.cell.Cell`).  When
-        given, each snapshot is queried over the whole group at once:
-        one vectorized ``searchsorted`` pass under the numpy kernel, a
-        resumable sorted binary-search walk otherwise.  Contributions
-        are still summed in ``connections`` iteration order, so the
-        result is bit-identical to the ungrouped path.
+        Sums ``bandwidth * handoff_probability(...)`` over
+        ``connections`` in iteration order, fetching each ``prev``
+        snapshot once.  This is the naive reference of the supply step
+        (:func:`repro.core.reservation.supply_contributions`).
         """
         if t_est <= 0:
             return 0.0
-        if groups is None:
-            total = 0.0
-            snapshots: dict[int | None, HandoffEstimationFunction] = {}
-            for connection in connections:
-                prev = connection.prev_cell
-                snapshot = snapshots.get(prev)
-                if snapshot is None:
-                    snapshot = self.function_for(now, prev)
-                    snapshots[prev] = snapshot
-                extant = now - connection.cell_entry_time
-                denominator = snapshot.total_mass_above(extant)
-                if denominator <= 0.0:
-                    continue  # estimated stationary
-                numerator = snapshot.mass_between(
-                    target_cell, extant, extant + t_est
-                )
-                if numerator > 0.0:
-                    # Adaptive-QoS connections reserve their minimum rate
-                    # (paper §1); rigid ones expose it as the full rate.
-                    basis = getattr(
-                        connection, "reservation_basis", connection.bandwidth
-                    )
-                    total += basis * min(numerator / denominator, 1.0)
-            return total
-        if not groups:
-            return 0.0
-        np = numpy_or_none()
-        contributions: dict[int, float] = {}
-        for prev, group in groups.items():
-            snapshot = self.function_for(now, prev)
-            if snapshot.is_empty:
-                continue
-            keys = group.keys
-            if np is not None and len(keys) >= _VECTOR_MIN_ROWS:
-                self._count_dispatch(True, len(keys))
-                entries, bases = group.arrays(np)
-                snapshot.batch_contributions_arrays(
-                    np,
-                    target_cell,
-                    keys,
-                    now - entries,
-                    bases,
-                    t_est,
-                    contributions,
-                )
-            else:
-                # Entry times ascend, so walking them in reverse yields
-                # the non-decreasing extant sojourns the resumable
-                # binary searches need — no per-call sort.
-                self._count_dispatch(False, len(keys))
-                entries = group.entries
-                bases = group.bases
-                rows = (
-                    (keys[index], now - entries[index], bases[index])
-                    for index in range(len(keys) - 1, -1, -1)
-                )
-                contributions.update(
-                    snapshot.batch_contributions(target_cell, rows, t_est)
-                )
-        if not contributions:
-            return 0.0
         total = 0.0
+        snapshots: dict[int | None, HandoffEstimationFunction] = {}
         for connection in connections:
-            value = contributions.get(connection.connection_id)
-            if value is not None:
-                total += value
+            prev = connection.prev_cell
+            snapshot = snapshots.get(prev)
+            if snapshot is None:
+                snapshot = self.function_for(now, prev)
+                snapshots[prev] = snapshot
+            extant = now - connection.cell_entry_time
+            denominator = snapshot.total_mass_above(extant)
+            if denominator <= 0.0:
+                continue  # estimated stationary
+            numerator = snapshot.mass_between(
+                target_cell, extant, extant + t_est
+            )
+            if numerator > 0.0:
+                # Adaptive-QoS connections reserve their minimum rate
+                # (paper §1); rigid ones expose it as the full rate.
+                basis = getattr(
+                    connection, "reservation_basis", connection.bandwidth
+                )
+                total += basis * min(numerator / denominator, 1.0)
         return total
-
-    def expected_bandwidth_multi(
-        self,
-        now: float,
-        connections,
-        requests: Sequence[tuple[int, float]],
-        groups: dict | None = None,
-    ) -> list[float]:
-        """Eq. 5 toward several ``(target_cell, t_est)`` requests at once.
-
-        The coalesced reservation tick asks one supplying station for
-        contributions toward every dirty neighbour in a single call.
-        With ``groups``, each ``prev`` snapshot is fetched once and the
-        Eq. 4 denominator gather is shared across all requests
-        (:meth:`HandoffEstimationFunction.batch_contributions_multi_arrays`),
-        so the vectorized kernel sees one batch of ``rows x targets``
-        instead of ``targets`` separate batches.  Element ``i`` equals
-        ``expected_bandwidth(now, connections, *requests[i], groups)``
-        bit for bit.
-        """
-        if not requests:
-            return []
-        connections = list(connections)
-        if groups is None or not groups:
-            return [
-                self.expected_bandwidth(
-                    now, connections, target_cell, t_est, groups=groups
-                )
-                for target_cell, t_est in requests
-            ]
-        np = numpy_or_none()
-        per_request: list[dict[int, float]] = [{} for _ in requests]
-        for prev, group in groups.items():
-            snapshot = self.function_for(now, prev)
-            if snapshot.is_empty:
-                continue
-            keys = group.keys
-            if np is not None and len(keys) >= _VECTOR_MIN_ROWS:
-                # One logical dispatch covering every request — this is
-                # the batch-size win the coalesced tick exists for.
-                self._count_dispatch(True, len(keys) * len(requests))
-                entries, bases = group.arrays(np)
-                snapshot.batch_contributions_multi_arrays(
-                    np,
-                    requests,
-                    keys,
-                    now - entries,
-                    bases,
-                    per_request,
-                )
-            else:
-                self._count_dispatch(False, len(keys) * len(requests))
-                entries = group.entries
-                bases = group.bases
-                for (target_cell, t_est), out in zip(
-                    requests, per_request
-                ):
-                    if t_est <= 0:
-                        continue
-                    rows = (
-                        (keys[index], now - entries[index], bases[index])
-                        for index in range(len(keys) - 1, -1, -1)
-                    )
-                    out.update(
-                        snapshot.batch_contributions(
-                            target_cell, rows, t_est
-                        )
-                    )
-        totals: list[float] = []
-        for (_target_cell, t_est), contributions in zip(
-            requests, per_request
-        ):
-            if t_est <= 0 or not contributions:
-                totals.append(0.0)
-                continue
-            total = 0.0
-            for connection in connections:
-                value = contributions.get(connection.connection_id)
-                if value is not None:
-                    total += value
-            totals.append(total)
-        return totals
-
-    def grouped_flush_parts(
-        self,
-        np,
-        now: float,
-        requests: Sequence[tuple[int, float]],
-        plan,
-        batch,
-    ):
-        """Register this station's Eq. 5 work into a cross-cell flush.
-
-        ``plan`` is the supplier's cached flush plan
-        (:meth:`repro.cellular.base_station.BaseStation.grouped_flush_plan`):
-        concatenated entry-time/basis columns, one slice per ``prev``
-        block, and the row permutation that restores connection
-        iteration order.  ``batch`` is the tick-wide
-        :class:`repro._kernel.FlushBatch`; this method only runs the
-        per-block binary searches and registers the parts — the single
-        flush-level arithmetic pass happens in ``batch.resolve()``.
-
-        Returns one :class:`repro._kernel.FlushSegment` (or ``None``
-        for ``t_est <= 0``) per request; each segment's ``total`` is
-        bit-identical to the matching :meth:`expected_bandwidth_multi`
-        element.  Returns ``None`` when any needed snapshot is not
-        unit-weight (finite ``T_int`` / non-unit day weights) — the
-        caller then falls back to the per-supplier path.
-        """
-        entries_cat, bases_cat, blocks, perm, n_rows = plan
-        function_for = self.function_for
-        snapshots = []
-        for prev, _start, _end in blocks:
-            snapshot = function_for(now, prev)
-            if not snapshot.is_empty and not snapshot.is_unit_weight:
-                return None
-            snapshots.append(snapshot)
-        extants = now - entries_cat
-        new_segment = batch.new_segment
-        segments = [
-            new_segment(n_rows, perm) if t_est > 0 else None
-            for _target_cell, t_est in requests
-        ]
-        n_requests = len(requests)
-        highs: list = [None] * n_requests
-        count_dispatch = self._count_dispatch
-        union_indices = batch.union_indices
-        add_part = batch.add_part
-        for snapshot, (prev, start, end) in zip(snapshots, blocks):
-            if snapshot.is_empty:
-                continue
-            # The whole block evaluates in the flush-level vectorized
-            # pass regardless of its own size — that is the point of
-            # gathering rows across suppliers.
-            count_dispatch(True, (end - start) * n_requests)
-            block_extants = extants[start:end]
-            union_sojourns = None
-            idx_u = None
-            for index, (target_cell, t_est) in enumerate(requests):
-                segment = segments[index]
-                if segment is None:
-                    continue
-                target_sojourns = snapshot.target_sojourn_array(
-                    np, target_cell
-                )
-                if target_sojourns is None:
-                    continue
-                if union_sojourns is None:
-                    union_sojourns = snapshot.union_sojourn_array(np)
-                    idx_u = union_indices(union_sojourns, block_extants)
-                high = highs[index]
-                if high is None:
-                    high = highs[index] = extants + t_est
-                add_part(
-                    segment,
-                    start,
-                    idx_u,
-                    len(union_sojourns),
-                    target_sojourns,
-                    block_extants,
-                    high[start:end],
-                    bases_cat[start:end],
-                )
-        return segments
 
     def is_stationary(
         self, now: float, prev: int | None, extant_sojourn: float
@@ -541,17 +315,11 @@ class KnownPathEstimator(MobilityEstimator):
         connections,
         target_cell: int,
         t_est: float,
-        groups: dict | None = None,
     ) -> float:
-        """Eq. 5 with routes: mass concentrates on each known next cell.
-
-        The route oracle is consulted per connection, so the grouped
-        fast path does not apply here; ``groups`` is accepted (and
-        ignored) for interface compatibility with the base class.
-        """
+        """Eq. 5 with routes: mass concentrates on each known next cell."""
         if self.route_oracle is None:
             return super().expected_bandwidth(
-                now, connections, target_cell, t_est, groups=groups
+                now, connections, target_cell, t_est
             )
         if t_est <= 0:
             return 0.0
@@ -582,40 +350,6 @@ class KnownPathEstimator(MobilityEstimator):
                 )
                 total += basis * probability
         return total
-
-    def expected_bandwidth_multi(
-        self,
-        now: float,
-        connections,
-        requests: Sequence[tuple[int, float]],
-        groups: dict | None = None,
-    ) -> list[float]:
-        """Route-aware Eq. 5 per request (the oracle is per connection,
-        so the shared-denominator fast path does not apply here)."""
-        if self.route_oracle is None:
-            return super().expected_bandwidth_multi(
-                now, connections, requests, groups=groups
-            )
-        connections = list(connections)
-        return [
-            self.expected_bandwidth(now, connections, target_cell, t_est)
-            for target_cell, t_est in requests
-        ]
-
-    def grouped_flush_parts(
-        self,
-        np,
-        now: float,
-        requests: Sequence[tuple[int, float]],
-        plan,
-        batch,
-    ):
-        """Route-aware Eq. 5 consults the oracle per connection, so the
-        cross-cell flush does not apply; ``None`` sends the caller to
-        :meth:`expected_bandwidth_multi` (which routes correctly)."""
-        if self.route_oracle is not None:
-            return None
-        return super().grouped_flush_parts(np, now, requests, plan, batch)
 
     def handoff_probability_known_next(
         self,

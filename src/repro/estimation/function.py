@@ -11,11 +11,12 @@ weight-sum array per next cell (and one pair for the union over next
 cells, which makes the Eq. 4 denominator a single binary search).
 Snapshots are built either from the legacy ``WeightedQuadruplet``
 listing or, far cheaper, straight from the cache's incrementally
-sorted columns (:meth:`from_columns`).  Batch queries — *many* extant
-sojourns against one snapshot — run through ``numpy.searchsorted``
-over those arrays when the numpy kernel is active
-(:mod:`repro._kernel`) and through resumable ``bisect`` walks
-otherwise; both produce bit-identical masses to the scalar queries.
+sorted columns (:meth:`from_columns`).  Eq. 5 over *many* extant
+sojourns against one snapshot runs as a resumable ``bisect`` walk
+(:meth:`HandoffEstimationFunction.batch_contributions`); the sojourn
+columns are also exposed as ndarrays for the cross-cell numpy batch
+(:class:`repro._kernel.FlushBatch`).  Both produce bit-identical
+masses to the scalar queries.
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ class _Mass:
         self.cumulative = cumulative
         #: True when every entry weighs exactly 1.0: the cumulative
         #: weights are then the exact integers 1.0, 2.0, …, so Eq. 4
-        #: masses equal binary-search *counts* and the grouped flush
-        #: kernel can skip the prefix-sum gathers bit-identically.
+        #: masses equal binary-search *counts* and the cross-cell flush
+        #: batch can skip the prefix-sum gathers bit-identically.
         #: (Only :meth:`from_column` can assert this — accumulating a
         #: repeated non-unit weight is not exact in float.)
         self.unit = unit
         #: Lazily built ``(sojourns, zero-prefixed cumulative)`` numpy
-        #: pair, cached per snapshot for the batch kernels.
+        #: pair, cached per snapshot for the array paths.
         self._ndarrays = None
 
     @classmethod
@@ -221,7 +222,7 @@ class HandoffEstimationFunction:
         return None if per_next is None else per_next.arrays(np)[0]
 
     # ------------------------------------------------------------------
-    # batch kernels (many extant sojourns against one snapshot)
+    # batch queries (many extant sojourns against one snapshot)
     # ------------------------------------------------------------------
     def batch_probabilities(
         self,
@@ -232,9 +233,9 @@ class HandoffEstimationFunction:
         """Eq. 4 for a whole batch of extant sojourn times at once.
 
         Returns one ``p_h(-> next_cell)`` per query, in order; zeros
-        for estimated-stationary queries.  The numpy kernel evaluates
-        the batch with three ``searchsorted`` gathers; the python
-        kernel falls back to per-query binary searches.  Either way
+        for estimated-stationary queries.  With numpy installed the
+        batch runs as three ``searchsorted`` gathers; without it, as
+        per-query binary searches.  Either way
         each probability equals the scalar Eq. 4 arithmetic exactly.
         """
         if t_est <= 0 or not extant_sojourns:
@@ -320,101 +321,6 @@ class HandoffEstimationFunction:
                     numerator / denominator, 1.0
                 )
         return contributions
-
-    def batch_contributions_arrays(
-        self,
-        np,
-        target_cell: int,
-        keys: Sequence[int],
-        extants,
-        bases,
-        t_est: float,
-        out: dict[int, float],
-    ) -> None:
-        """Numpy-kernel Eq. 5: vectorized ``basis * p_h`` per connection.
-
-        ``extants`` and ``bases`` are parallel float arrays; positive
-        contributions are written into ``out`` keyed by ``keys``.  The
-        per-row arithmetic mirrors :meth:`batch_contributions` op for
-        op (gather, subtract, divide, ``min``), so the contributions
-        are bit-identical to the scalar walk.
-        """
-        per_next = self._per_next.get(target_cell)
-        if per_next is None or t_est <= 0:
-            return
-        union_s, union_c0 = self._union.arrays(np)
-        target_s, target_c0 = per_next.arrays(np)
-        denominator = self._union.total - union_c0[
-            np.searchsorted(union_s, extants, side="right")
-        ]
-        low = target_c0[np.searchsorted(target_s, extants, side="right")]
-        high = target_c0[
-            np.searchsorted(target_s, extants + t_est, side="right")
-        ]
-        numerator = high - low
-        valid = (denominator > 0.0) & (numerator > 0.0)
-        if not valid.any():
-            return
-        ratio = numerator[valid] / denominator[valid]
-        np.minimum(ratio, 1.0, out=ratio)
-        contributions = bases[valid] * ratio
-        for key, value in zip(
-            (keys[index] for index in np.flatnonzero(valid)),
-            contributions.tolist(),
-        ):
-            out[key] = value
-
-    def batch_contributions_multi_arrays(
-        self,
-        np,
-        requests: Sequence[tuple[int, float]],
-        keys: Sequence[int],
-        extants,
-        bases,
-        outs: Sequence[dict[int, float]],
-    ) -> None:
-        """Numpy-kernel Eq. 5 toward *several* targets in one pass.
-
-        ``requests`` is ``(target_cell, t_est)`` pairs; ``outs`` the
-        parallel per-request output dicts.  The Eq. 4 denominator
-        depends only on the extant sojourns, so the coalesced
-        reservation tick computes its ``searchsorted`` gather once here
-        and shares it across every requested target, instead of
-        re-gathering per target as :meth:`batch_contributions_arrays`
-        does.  Per-request arithmetic is that method's op for op
-        (gather, subtract, divide, ``min``), so each contribution stays
-        bit-identical to the per-target path.
-        """
-        union_s, union_c0 = self._union.arrays(np)
-        denominator = self._union.total - union_c0[
-            np.searchsorted(union_s, extants, side="right")
-        ]
-        den_positive = denominator > 0.0
-        if not den_positive.any():
-            return
-        for (target_cell, t_est), out in zip(requests, outs):
-            per_next = self._per_next.get(target_cell)
-            if per_next is None or t_est <= 0:
-                continue
-            target_s, target_c0 = per_next.arrays(np)
-            low = target_c0[
-                np.searchsorted(target_s, extants, side="right")
-            ]
-            high = target_c0[
-                np.searchsorted(target_s, extants + t_est, side="right")
-            ]
-            numerator = high - low
-            valid = den_positive & (numerator > 0.0)
-            if not valid.any():
-                continue
-            ratio = numerator[valid] / denominator[valid]
-            np.minimum(ratio, 1.0, out=ratio)
-            contributions = bases[valid] * ratio
-            for key, value in zip(
-                (keys[index] for index in np.flatnonzero(valid)),
-                contributions.tolist(),
-            ):
-                out[key] = value
 
     def footprint(self) -> dict[int, list[tuple[float, float]]]:
         """``next -> [(sojourn, cumulative weight), ...]`` (Figure 4 aid)."""

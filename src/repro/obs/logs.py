@@ -1,8 +1,8 @@
 """Structured logging for simulation runs.
 
 Every ``repro`` subsystem logs through the stdlib under the ``repro.*``
-namespace (``repro.kernel`` already did; ``repro.engine``,
-``repro.window``, ``repro.progress``, ``repro.trace`` join it here).
+namespace (``repro.engine``, ``repro.window``, ``repro.progress``,
+``repro.trace``).
 This module adds:
 
 * a **JSONL formatter** — one JSON object per line with timestamp,

@@ -1,9 +1,9 @@
 """Run-wide telemetry: counters, gauges, histograms and section timers.
 
 A :class:`Telemetry` registry holds the run-time observables of one
-simulation run — how many events the DES engine fired, how often the
-Eq. 5 memo hit, which estimation kernel each Eq. 4 batch dispatched to,
-when the ``T_est`` controller stepped.  Everything is designed around
+simulation run — how many events the DES engine fired, how often F_HOE
+snapshots were reused, whether each Eq. 4/5 block was walked or
+numpy-batched, when the ``T_est`` controller stepped.  Everything is designed around
 two constraints:
 
 * **Observation must not perturb the simulation.**  Instruments only
@@ -11,7 +11,6 @@ two constraints:
   engine.  ``metrics_key()`` equality between telemetry-on and
   telemetry-off runs of the same scenario is enforced by tests.
 * **Telemetry-off must cost ~nothing.**  The module-level singleton
-  (guarded the same way :mod:`repro._kernel` guards kernel selection)
   hands out shared no-op instruments when disabled, so instrumented
   code paths pay one attribute access and an empty method call at most
   — and the hottest paths (the engine's event loop, the estimator's
@@ -397,7 +396,7 @@ def merge_snapshots(snapshots: Iterable[Mapping | None]) -> dict | None:
 
 
 # ----------------------------------------------------------------------
-# module-level selection (mirrors repro._kernel)
+# module-level selection
 # ----------------------------------------------------------------------
 _enabled: bool | None = None
 _active: Telemetry | NullTelemetry | None = None

@@ -20,8 +20,8 @@ exposing the attribute set :meth:`repro.cellular.cell.Cell.attach`
 duck-types against (``connection_id``, ``bandwidth``,
 ``reservation_basis``, ``prev_cell``, ``cell_entry_time``, ...); it is
 materialised ephemerally on the rare fallback paths that still iterate
-connection objects (the pure-python Eq. 5 kernel, disabled reservation
-caches).  The store itself is bound at the *class* level so each live
+connection objects (route-oracle and duck-typed estimators, which take
+the naive per-connection Eq. 5).  The store itself is bound at the *class* level so each live
 handle carries nothing but its row.
 
 Rows are guarded by a monotone ``serial`` column: every allocation
@@ -278,15 +278,15 @@ class ColumnarCell(Cell):
     a leading hot-loop term.  A columnar cell keeps the same accounting
     (``used_bandwidth``, ``version``, the per-``prev``
     :class:`~repro.cellular.cell.ReservationGroup` buckets the Eq. 5
-    kernels batch over) but reads every field straight out of the
+    supply step walks) but reads every field straight out of the
     :class:`ConnectionStore` columns, so admission, reservation flush,
     and hand-off migration touch no per-connection Python objects.
 
     Attach order is tracked by the same cell-wide sequence counter as
-    the base class, so ``argsort`` over the bucket ``seqs`` still
-    reproduces connection-iteration order — the grouped
-    ``FlushBatch`` plan is unchanged.  :meth:`connections` materialises
-    ephemeral handles for the object-iterating fallback paths only.
+    the base class, so ascending bucket ``seqs`` still reproduce
+    connection-iteration order, the order Eq. 5 totals are summed in.
+    :meth:`connections` materialises ephemeral handles for the
+    object-iterating paths only.
     """
 
     def __init__(

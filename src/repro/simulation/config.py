@@ -78,27 +78,6 @@ class SimulationConfig:
     #: compresses the §5.3 scenario.
     day_seconds: float = 86_400.0
     step_policy: StepPolicy = StepPolicy.UNIT
-    #: Evaluate per-station Eq. 5 over the cells' incremental columnar
-    #: buckets (pure optimisation — metrics are bit-identical either
-    #: way; disabling forces the naive per-connection rescan, keeping
-    #: the equivalence testable).
-    reservation_cache: bool = True
-    #: Coalesce each admission test's ``B_r`` updates into one batched
-    #: estimation tick (pure optimisation — bit-identical metrics; the
-    #: switch keeps the equivalence testable).
-    coalesced_tick: bool = True
-    #: Let one estimation tick gather the Eq. 4/5 rows of *all*
-    #: suppliers into a single cross-cell columnar batch (pure
-    #: optimisation — bit-identical metrics; the switch keeps the
-    #: equivalence testable).  Only effective under an array kernel.
-    grouped_flush: bool = True
-
-    #: Estimation kernel: ``auto`` (numpy when installed), ``numpy``
-    #: (require the ``[fast]`` extra), ``numba`` (additionally require
-    #: the ``[fastest]`` extra — jitted flush kernels, explicit opt-in)
-    #: or ``python`` (force the pure bisect fallback).  All kernels
-    #: produce bit-identical metrics.  See :mod:`repro._kernel`.
-    kernel: str = "auto"
 
     # --- run control ----------------------------------------------------
     duration: float = 2000.0
@@ -177,11 +156,6 @@ class SimulationConfig:
             raise ValueError("soft hand-off window cannot be negative")
         if self.soft_handoff_retry_interval <= 0:
             raise ValueError("soft hand-off retry interval must be positive")
-        if self.kernel not in ("auto", "numpy", "python", "numba"):
-            raise ValueError(
-                "kernel must be auto, numpy, python or numba,"
-                f" got {self.kernel!r}"
-            )
         if self.progress_interval < 0:
             raise ValueError("progress interval cannot be negative")
         if self.series_interval < 0 or self.series_wall_interval < 0:

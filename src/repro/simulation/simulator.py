@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time as wall_clock
 
-from repro._kernel import kernel_name, set_kernel
+from repro._kernel import kernel_name
 from repro.cellular.base_station import EXIT_CELL
 from repro.cellular.network import CellularNetwork
 from repro.cellular.topology import LinearTopology
@@ -85,13 +85,6 @@ class CellularSimulator:
         extensions=(),
     ) -> None:
         self.config = config
-        # Select (and log) the estimation kernel before any estimator
-        # work happens; "auto" resolves lazily via REPRO_KERNEL/numpy
-        # availability, an explicit choice overrides the environment.
-        if config.kernel == "auto":
-            kernel_name()
-        else:
-            set_kernel(config.kernel)
         # Activate this run's telemetry registry and log context before
         # any subsystem grabs instrument handles (the estimators do, at
         # construction).  ``config.telemetry`` forces it on; otherwise
@@ -152,9 +145,6 @@ class CellularSimulator:
                 step_policy=config.step_policy,
             ),
             handoff_overload=config.handoff_overload,
-            reservation_cache=config.reservation_cache,
-            coalesced_tick=config.coalesced_tick,
-            grouped_flush=config.grouped_flush,
         )
         if config.warm_state is not None:
             # Replication shards start from a shared warm-up's estimator
@@ -704,12 +694,6 @@ class CellularSimulator:
         )
         tel.counter("cellular.tick_targets").inc(
             getattr(self.network, "tick_targets", 0)
-        )
-        tel.counter("cellular.tick_suppliers", path="grouped").inc(
-            getattr(self.network, "tick_grouped_suppliers", 0)
-        )
-        tel.counter("cellular.tick_suppliers", path="fallback").inc(
-            getattr(self.network, "tick_fallback_suppliers", 0)
         )
         tel.counter("cellular.group_rebuilds").inc(rebuilds)
         tel.counter("window.t_est_steps", direction="up").inc(steps_up)

@@ -17,7 +17,7 @@ message batches at epoch barriers:
   estimator's ``max_sojourn`` at the barrier instant (feeds the
   neighbour shard's dirty set and window-controller ``T_soj,max``);
 * **reservation requests/replies** — Eq. 5 contributions crossing the
-  cut, batched through ``outgoing_reservation_multi``;
+  cut, answered by one Eq. 5 supply step per barrier;
 * **migrations** — hand-offs whose destination cell lives in another
   shard, shipped one barrier ahead of their crossing time.
 
@@ -33,10 +33,10 @@ protocol variant with identical semantics at every N, including N=1:
   neighbourhood-max-sojourn mirror.
 * ``B_r`` refreshes at each barrier for the *dirty* set — cells whose
   own or neighbouring cells saw an attach/detach/departure/hand-off in
-  the finished epoch — via one sorted ``outgoing_reservation_multi``
-  call per supplier.  Suppliers and requests are processed in cell-id
-  order, and Eq. 6 installs in target-id order, so float addition
-  order is shard-independent.
+  the finished epoch — via one Eq. 5 supply step
+  (:func:`repro.core.reservation.supply_contributions`).  Suppliers
+  and requests are processed in cell-id order, and Eq. 6 installs in
+  target-id order, so float addition order is shard-independent.
 * Every random draw comes from a counter-based SplitMix64 stream keyed
   by *simulation* coordinates (cell, arrival index, hop count), never
   by scheduling history, so shards draw identical values no matter who
@@ -62,7 +62,7 @@ Hot state lives in the struct-of-arrays stores of
 :class:`~repro.simulation.columnar.ColumnarCell` instances that attach
 and detach store *rows* directly — the DES inner loop allocates no
 per-connection objects, and barrier-time Eq. 5 refreshes run through
-the cross-cell ``FlushBatch`` kernels.
+the same Eq. 5 supply step as the sequential simulator.
 """
 
 from __future__ import annotations
@@ -75,12 +75,11 @@ import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro._kernel import flush_batch_or_none, kernel_name, set_kernel
 from repro.cellular.cell import Cell
 from repro.cellular.network import CellularNetwork
 from repro.cellular.topology import HexTopology
 from repro.core.admission import make_policy
-from repro.core.reservation import aggregate_reservation
+from repro.core.reservation import aggregate_reservation, supply_contributions
 from repro.core.window import WindowControllerConfig
 from repro.des.engine import Engine
 from repro.des.events import Event, EventPriority
@@ -500,10 +499,6 @@ class ShardEngine:
         self.seed = config.seed
         self.duration = config.duration
         self.adaptive = config.scheme.lower() != "static"
-        if config.kernel == "auto":
-            kernel_name()
-        else:
-            set_kernel(config.kernel)
         ensure_configured()
         run_id = config.run_id or new_run_id()
         self.telemetry = begin_run(
@@ -550,9 +545,6 @@ class ShardEngine:
                 step_policy=config.step_policy,
             ),
             handoff_overload=config.handoff_overload,
-            reservation_cache=config.reservation_cache,
-            coalesced_tick=False,
-            grouped_flush=config.grouped_flush,
         )
         self.owned = plan.cells[index]
         self._owned_set = frozenset(self.owned)
@@ -793,54 +785,20 @@ class ShardEngine:
         owner = self.plan.owner
         station_of = self.network.station
         now = self._barrier_time
-        suppliers = sorted(merged)
-        by_supplier: dict[int, list[tuple[int, float]]] = {}
-        for supplier in suppliers:
-            requests = sorted(merged[supplier])
-            by_supplier[supplier] = requests
-            station_of(supplier).messages_sent += len(requests)
-        # Supply phase, cross-cell batched like
-        # :meth:`repro.cellular.network.CellularNetwork._flush_tick`:
-        # every supplier's Eq. 5 rows are gathered into one columnar
-        # :class:`repro._kernel.FlushBatch` pass; suppliers that cannot
-        # join fall back to the per-supplier batched call, which is
-        # bit-identical by construction.
-        supplies: dict[int, list[float]] = {}
-        batch = flush_batch_or_none() if self.config.grouped_flush else None
-        if batch is not None:
-            np = batch.np
-            deferred: list[tuple[int, list]] = []
-            for supplier in suppliers:
-                requests = by_supplier[supplier]
-                station = station_of(supplier)
-                slots = station.grouped_contribution_eval(
-                    np, now, requests, batch
-                )
-                if slots is None:
-                    supplies[supplier] = station.outgoing_reservation_multi(
-                        now, requests
-                    )
-                else:
-                    deferred.append((supplier, slots))
-            if deferred:
-                batch.resolve()
-                for supplier, slots in deferred:
-                    supplies[supplier] = [
-                        0.0
-                        if slot is None
-                        else (slot if type(slot) is float else slot.total)
-                        for slot in slots
-                    ]
-        else:
-            for supplier in suppliers:
-                supplies[supplier] = station_of(
-                    supplier
-                ).outgoing_reservation_multi(now, by_supplier[supplier])
+        # Suppliers in cell-id order, each with its requests in target-id
+        # order: the supply step's float additions are then
+        # shard-count-independent.
+        requests: dict = {}
+        for supplier in sorted(merged):
+            pending = sorted(merged[supplier])
+            station = station_of(supplier)
+            requests[station] = pending
+            station.messages_sent += len(pending)
+        supplies = supply_contributions(now, requests)
         replies_out: list[tuple[int, int, float]] = []
-        for supplier in suppliers:
-            for (target, _), value in zip(
-                by_supplier[supplier], supplies[supplier]
-            ):
+        for station, pending in requests.items():
+            supplier = station.cell_id
+            for (target, _), value in zip(pending, supplies[station]):
                 if owner[target] == self.index:
                     self._reply_values[(supplier, target)] = value
                 else:

@@ -89,13 +89,18 @@ _FINGERPRINT_EXEMPT = {
     "telemetry",
     "progress_interval",
     "run_id",
-    "kernel",
     "warm_state",
     "series_interval",
     "series_wall_interval",
     "series_path",
     "series_max_samples",
     "trace",
+    # Retired switches that never changed a result; older checkpoints
+    # still carry them.
+    "kernel",
+    "reservation_cache",
+    "coalesced_tick",
+    "grouped_flush",
 }
 
 
@@ -140,7 +145,8 @@ def _check_fingerprint(saved: dict, config) -> None:
     mismatched = sorted(
         name
         for name in set(saved) | set(current)
-        if saved.get(name) != current.get(name)
+        if name not in _FINGERPRINT_EXEMPT
+        and saved.get(name) != current.get(name)
     )
     if mismatched:
         details = ", ".join(
@@ -450,8 +456,6 @@ def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
         "network": {
             "tick_flushes": sim.network.tick_flushes,
             "tick_targets": sim.network.tick_targets,
-            "tick_grouped_suppliers": sim.network.tick_grouped_suppliers,
-            "tick_fallback_suppliers": sim.network.tick_fallback_suppliers,
         },
         "metrics": _capture_metrics(sim.metrics),
         "queue": _capture_queue(sim),
@@ -902,12 +906,6 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
     saved_network = runtime["network"]
     sim.network.tick_flushes = saved_network["tick_flushes"]
     sim.network.tick_targets = saved_network["tick_targets"]
-    sim.network.tick_grouped_suppliers = saved_network.get(
-        "tick_grouped_suppliers", 0
-    )
-    sim.network.tick_fallback_suppliers = saved_network.get(
-        "tick_fallback_suppliers", 0
-    )
     _restore_metrics(sim.metrics, runtime["metrics"])
     sim.active_connections = {
         record["id"]: connections[record["id"]]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cellular.network import CellularNetwork
 from repro.cellular.topology import LinearTopology
+from repro.core.reservation import supply_contributions
 from repro.estimation.cache import CacheConfig
 from repro.traffic.classes import VIDEO, VOICE
 from repro.traffic.connection import Connection
@@ -44,9 +45,10 @@ def test_outgoing_reservation_matches_eq5():
         station.estimator.record_departure(float(index), None, 0, 10.0)
     attach(network, 1, VIDEO, entry_time=95.0)  # extant sojourn 5 s
     # t_est = 10 covers the sojourn-10 mass fully: p_h = 1.
-    assert station.outgoing_reservation(100.0, 0, 10.0) == pytest.approx(4.0)
     # t_est = 4 -> window (5, 9]: no mass, p_h = 0.
-    assert station.outgoing_reservation(100.0, 0, 4.0) == 0.0
+    supplied = supply_contributions(100.0, {station: [(0, 10.0), (0, 4.0)]})
+    assert supplied[station][0] == pytest.approx(4.0)
+    assert supplied[station][1] == 0.0
 
 
 def test_update_target_reservation_aggregates_neighbors():

@@ -4,7 +4,13 @@ import pytest
 
 from repro.cellular.network import CellularNetwork
 from repro.cellular.topology import LinearTopology
+from repro.core.reservation import (
+    expected_handoff_bandwidth,
+    supply_contributions,
+)
 from repro.estimation.calendar import CalendarEstimator, WeekSchedule
+from repro.traffic.classes import VIDEO, VOICE
+from repro.traffic.connection import Connection
 
 DAY = 86_400.0
 
@@ -157,3 +163,43 @@ class TestCalendarEstimator:
         assert station.estimator.cache.total_recorded == 1
         # The Eq. 5/6 path works through the calendar wrapper.
         assert station.update_target_reservation(200.0) >= 0.0
+
+    def test_eq5_reference_matches_supply_step(self, eq5_path):
+        network = CellularNetwork(
+            LinearTopology(3),
+            estimator_factory=lambda cell_id: CalendarEstimator(
+                schedule=WeekSchedule(day_seconds=1000.0), interval=100.0
+            ),
+        )
+        station = network.station(1)
+        for index in range(40):
+            station.record_departure(
+                5_450.0 + index,
+                prev=(0, 2, None)[index % 3],
+                next_cell=(0, 2)[index % 2],
+                entry_time=5_400.0 + index - 3.0 * (index % 7),
+            )
+        for index in range(12):
+            station.cell.attach(
+                Connection(
+                    (VOICE, VIDEO)[index % 2],
+                    0.0,
+                    1,
+                    prev_cell=(0, 2, None)[index % 3],
+                    cell_entry_time=12_440.0 + 2.0 * index,
+                )
+            )
+        now = 12_500.0  # a weekend query: the weekend pattern set answers
+        connections = list(station.cell.connections())
+        naive = [
+            expected_handoff_bandwidth(
+                station.estimator, now, connections, 0, t_est
+            )
+            for t_est in (0.0, 5.0, 30.0)
+        ]
+        assert naive[2] > 0.0
+        requests = [(0, t_est) for t_est in (0.0, 5.0, 30.0)]
+        for path in eq5_path.paths:
+            with eq5_path(path):
+                supplied = supply_contributions(now, {station: requests})
+            assert supplied[station] == naive, path

@@ -1,11 +1,12 @@
-"""Numpy-kernel vs pure-Python-kernel equivalence (property-based).
+"""Numpy vs pure-Python equivalence of the batch queries (property-based).
 
-The columnar estimation core has two implementations of every batch
-query: vectorized ``searchsorted`` gathers (numpy kernel) and resumable
-``bisect`` walks (python kernel).  The contract is *bit-identity* — the
-same floats out, not just close ones — because the simulator's cached
-and naive paths are asserted metric-equal elsewhere.  These tests drive
-randomized quadruplet stores and query batches through both kernels.
+The columnar estimation core answers batch queries two ways: with
+numpy, vectorized ``searchsorted`` gathers (Eq. 4 batches) and the
+cross-cell flush batch (Eq. 5, unit-weight blocks); without it,
+resumable ``bisect`` walks.  The contract is *bit-identity* with the
+scalar / naive reference — the same floats out, not just close ones.
+These tests drive randomized quadruplet stores and query batches
+through both.
 """
 
 from contextlib import contextmanager
@@ -14,27 +15,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.estimation.function as function_module
 from repro import _kernel
-from repro.cellular.cell import Cell
+from repro.cellular.network import CellularNetwork
+from repro.cellular.topology import LinearTopology
+from repro.core.reservation import supply_contributions
 from repro.estimation.cache import CacheConfig
 from repro.estimation.estimator import MobilityEstimator
 from repro.traffic.classes import VOICE
 from repro.traffic.connection import Connection
 
 requires_numpy = pytest.mark.skipif(
-    not _kernel.HAS_NUMPY, reason="numpy kernel not installed"
+    not _kernel.HAS_NUMPY, reason="numpy is not installed"
 )
 
 
 @contextmanager
 def force_kernel(name):
-    saved = _kernel._active
-    _kernel._active = None
-    _kernel.set_kernel(name)
-    try:
+    """``python`` hides numpy from the Eq. 4 batch queries."""
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "python":
+            patch.setattr(function_module, "numpy_or_none", lambda: None)
         yield
-    finally:
-        _kernel._active = saved
 
 
 sojourns = st.floats(
@@ -127,7 +129,7 @@ def test_single_sample_store_across_kernels(sojourn, extants, t_est):
 
 
 # ----------------------------------------------------------------------
-# Eq. 5 grouped batches (vectorized contributions vs resumable walk)
+# Eq. 5: flush batch and walk against the naive reference
 # ----------------------------------------------------------------------
 @requires_numpy
 @settings(max_examples=40)
@@ -144,7 +146,8 @@ def test_batch_contributions_arrays_matches_walk(
 ):
     import numpy as np
 
-    snapshot = build_estimator(items).function_for(1e6, 1)
+    estimator = build_estimator(items)
+    snapshot = estimator.function_for(1e6, 1)
     now = 1_000.0
     entries = sorted(entry_times)
     keys = list(range(len(entries)))
@@ -157,32 +160,58 @@ def test_batch_contributions_arrays_matches_walk(
         ],
         t_est,
     )
-    vectorized: dict[int, float] = {}
-    snapshot.batch_contributions_arrays(
-        np,
-        target,
-        keys,
-        now - np.asarray(entries, dtype=np.float64),
+    naive = {}
+    for key in keys:
+        value = bases[key] * estimator.handoff_probability(
+            1e6, 1, now - entries[key], target, t_est
+        )
+        if value > 0.0:
+            naive[key] = value
+    assert walked == naive
+    target_sojourns = snapshot.target_sojourn_array(np, target)
+    if t_est <= 0 or target_sojourns is None:
+        return
+    batch = _kernel.FlushBatch(np)
+    segment = batch.new_segment(len(keys), np.arange(len(keys)))
+    extants = now - np.asarray(entries, dtype=np.float64)
+    union = snapshot.union_sojourn_array(np)
+    batch.add_part(
+        segment,
+        0,
+        batch.union_indices(union, extants),
+        len(union),
+        target_sojourns,
+        extants,
+        extants + t_est,
         np.asarray(bases, dtype=np.float64),
-        t_est,
-        vectorized,
     )
-    assert vectorized == walked
+    batch.resolve()
+    batched = {
+        key: value
+        for key, value in enumerate(segment.values.tolist())
+        if value > 0.0
+    }
+    assert batched == naive
 
 
-@requires_numpy
-@settings(max_examples=25)
+@settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31), windows)
-def test_grouped_expected_bandwidth_identical_across_kernels(seed, t_est):
-    """Grouped Eq. 5 over a Cell's columnar buckets, both kernels vs naive.
+def test_grouped_expected_bandwidth_identical_across_kernels(
+    eq5_path, seed, t_est
+):
+    """Supply step over a cell's ``prev`` blocks, every path vs naive.
 
-    Group sizes straddle the vectorization cutoff so both the numpy
-    gather path and the small-group walk are exercised.
+    Block sizes straddle the row constant, so the default path mixes
+    the numpy batch and the walk within one supplier.
     """
     import random
 
     rng = random.Random(seed)
-    estimator = MobilityEstimator(CacheConfig(interval=None))
+    network = CellularNetwork(
+        LinearTopology(6), cache_config=CacheConfig(interval=None)
+    )
+    station = network.station(5)
+    estimator = station.estimator
     for index in range(rng.randrange(0, 120)):
         estimator.record_departure(
             float(index),
@@ -190,29 +219,21 @@ def test_grouped_expected_bandwidth_identical_across_kernels(seed, t_est):
             rng.choice((0, 2, 3)),
             rng.uniform(0.0, 90.0),
         )
-    cell = Cell(5, capacity=10_000.0)
-    connections = []
     for _ in range(rng.randrange(0, 90)):
-        connection = Connection(
-            VOICE,
-            0.0,
-            5,
-            prev_cell=rng.choice((None, 1, 2)),
-            cell_entry_time=rng.uniform(0.0, 1_000.0),
-        )
-        cell.attach(connection)
-        connections.append(connection)
-    now = 1_000.0
-    naive = estimator.expected_bandwidth(now, connections, 0, t_est)
-    results = {}
-    for kernel in ("numpy", "python"):
-        with force_kernel(kernel):
-            results[kernel] = estimator.expected_bandwidth(
-                now,
-                connections,
-                0,
-                t_est,
-                groups=cell.reservation_groups(),
+        station.cell.attach(
+            Connection(
+                VOICE,
+                0.0,
+                5,
+                prev_cell=rng.choice((None, 1, 2)),
+                cell_entry_time=rng.uniform(0.0, 1_000.0),
             )
-    assert results["numpy"] == naive
-    assert results["python"] == naive
+        )
+    now = 1_000.0
+    naive = estimator.expected_bandwidth(
+        now, list(station.cell.connections()), 0, t_est
+    )
+    for path in eq5_path.paths:
+        with eq5_path(path):
+            supplied = supply_contributions(now, {station: [(0, t_est)]})
+            assert supplied[station] == [naive], path

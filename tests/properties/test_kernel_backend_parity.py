@@ -1,25 +1,20 @@
-"""Property-based kernel equivalence: python == numpy (== numba).
+"""Property-based Eq. 5 parity: every supply path == the naive reference.
 
-The kernel contract (:mod:`repro._kernel`): every backend — the pure
-bisect fallback, the searchsorted-batched numpy path, and the jitted
-numba path — produces *bit-identical* results, for scalar queries,
-batched per-supplier evaluation, and the cross-cell grouped flush.
-Hypothesis drives randomized quadruplet histories and connection
-populations through all available backends and requires exact float
-equality everywhere.
-
-The numba leg is exercised only when numba is importable (it is an
-optional extra); everything else runs on every install, with numpy
-legs skipped on numpy-free installs.
+The supply step (:func:`repro.core.reservation.supply_contributions`)
+sends each ``prev`` block either to the resumable walk or to the
+cross-cell numpy flush batch.  Whichever way a block goes — the
+shipped block-size rule, a numpy-free install that always walks, or a
+row constant of 1 that always batches — every contribution must equal
+the naive per-connection Eq. 5 bit for bit, for per-station updates,
+tick flushes and whole runs.  Hypothesis drives randomized quadruplet
+histories and connection populations through every path.
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._kernel import HAS_NUMPY, has_numba, kernel_name, set_kernel
 from repro.cellular.network import CellularNetwork
 from repro.cellular.topology import LinearTopology
 from repro.estimation.cache import CacheConfig
@@ -27,22 +22,6 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.simulator import CellularSimulator
 from repro.traffic.classes import VOICE
 from repro.traffic.connection import Connection
-
-
-def available_kernels() -> list[str]:
-    kernels = ["python"]
-    if HAS_NUMPY:
-        kernels.append("numpy")
-        if has_numba():
-            kernels.append("numba")
-    return kernels
-
-
-@pytest.fixture(autouse=True)
-def _restore_kernel():
-    before = kernel_name()
-    yield
-    set_kernel(before)
 
 
 sojourns = st.floats(
@@ -54,15 +33,14 @@ entry_offsets = st.lists(
     st.floats(min_value=0.0, max_value=90.0,
               allow_nan=False, allow_infinity=False),
     min_size=0,
-    max_size=25,
+    max_size=70,
 )
 
 
-def build_network(items, offsets, grouped_flush=True):
+def build_network(items, offsets):
     network = CellularNetwork(
         LinearTopology(5),
         cache_config=CacheConfig(interval=None),
-        grouped_flush=grouped_flush,
     )
     station = network.station(1)
     for index, (sojourn, prev) in enumerate(items):
@@ -82,69 +60,54 @@ def build_network(items, offsets, grouped_flush=True):
 
 @settings(max_examples=25, deadline=None)
 @given(history, entry_offsets)
-def test_reservation_identical_across_kernels(items, offsets):
-    """Eq. 6 per-supplier evaluation is bit-identical per backend."""
+def test_reservation_identical_across_kernels(eq5_path, items, offsets):
+    """Eq. 6 per-station updates are bit-identical on every path."""
     results = {}
-    for kernel in available_kernels():
-        set_kernel(kernel)
+    for path in ("naive",) + eq5_path.paths:
         network = build_network(items, offsets)
-        results[kernel] = network.station(0).update_target_reservation(
-            100.0
-        )
-    values = set(results.values())
-    assert len(values) == 1, results
+        with eq5_path(path):
+            results[path] = network.station(0).update_target_reservation(
+                100.0
+            )
+    assert len(set(results.values())) == 1, results
 
 
 @settings(max_examples=25, deadline=None)
 @given(history, entry_offsets)
-def test_grouped_tick_identical_across_kernels(items, offsets):
-    """The cross-cell grouped flush is bit-identical per backend."""
+def test_grouped_tick_identical_across_kernels(eq5_path, items, offsets):
+    """Tick flushes are bit-identical on every path."""
     results = {}
-    for kernel in available_kernels():
-        set_kernel(kernel)
+    for path in ("naive",) + eq5_path.paths:
         network = build_network(items, offsets)
-        for cell_id in (0, 2):
-            network.mark_reservation_dirty(cell_id)
-        network.flush_reservation_tick(100.0)
-        results[kernel] = (
+        with eq5_path(path):
+            for cell_id in (0, 2):
+                network.mark_reservation_dirty(cell_id)
+            network.flush_reservation_tick(100.0)
+        results[path] = (
             network.cell(0).reserved_target,
             network.cell(2).reserved_target,
         )
-    values = set(results.values())
-    assert len(values) == 1, results
+    assert len(set(results.values())) == 1, results
 
 
-def _run_metrics(kernel: str, grouped_flush: bool = True):
+def _run_metrics(eq5_path, path: str):
     config = SimulationConfig(
-        scheme="AC3",
-        offered_load=120.0,
-        duration=120.0,
-        seed=5,
-        kernel=kernel,
-        grouped_flush=grouped_flush,
+        scheme="AC3", offered_load=120.0, duration=120.0, seed=5
     )
-    return CellularSimulator(config).run().metrics_key()
+    with eq5_path(path):
+        return CellularSimulator(config).run().metrics_key()
 
 
-def test_whole_run_metrics_key_parity_across_kernels():
-    """A full AC3 run lands on one metrics_key whatever the backend."""
-    keys = {
-        kernel: _run_metrics(kernel) for kernel in available_kernels()
-    }
-    reference = keys["python"]
-    for kernel, key in keys.items():
-        assert key == reference, kernel
+def test_whole_run_metrics_key_parity_across_kernels(eq5_path):
+    """A full AC3 run lands on the naive reference's metrics_key,
+    with numpy (block-size rule) and without it (walk only)."""
+    reference = _run_metrics(eq5_path, "naive")
+    for path in ("default", "walk"):
+        assert _run_metrics(eq5_path, path) == reference, path
 
 
-def test_whole_run_metrics_key_parity_grouped_flush_toggle():
-    """grouped_flush on/off cannot change a run's metrics_key."""
-    assert _run_metrics("auto", grouped_flush=True) == _run_metrics(
-        "auto", grouped_flush=False
+def test_whole_run_metrics_key_parity_grouped_flush_toggle(eq5_path):
+    """Sending every block to the flush batch cannot change a run."""
+    assert _run_metrics(eq5_path, "batch") == _run_metrics(
+        eq5_path, "naive"
     )
-
-
-def test_numba_skipped_with_notice_when_absent():
-    if has_numba():
-        pytest.skip("numba installed: the backend runs in the tests above")
-    with pytest.raises(RuntimeError, match="numba"):
-        set_kernel("numba")

@@ -1,63 +1,73 @@
-"""End-to-end kernel equivalence: AC3 runs under numpy vs pure Python.
+"""End-to-end Eq. 5 paths: AC3 runs with and without numpy.
 
-The estimation kernels must not change simulation outcomes — Eq. 4/5
-are evaluated with IEEE-identical operations either way, so a whole
-AC3 scenario produces the same event sequence and the same metrics.
+Without numpy every ``prev`` block takes the resumable walk; with it,
+large unit-weight blocks join the numpy flush batch.  Eq. 4/5 are
+evaluated with IEEE-identical operations either way, so a whole AC3
+scenario produces the same event sequence and the same metrics as the
+naive per-connection reference.
 """
 
 import pytest
 
 from repro import _kernel
-from repro.simulation.scenarios import stationary
+from repro.estimation.calendar import CalendarEstimator, WeekSchedule
+from repro.simulation.scenarios import stationary, time_varying
 from repro.simulation.simulator import CellularSimulator
 
-requires_numpy = pytest.mark.skipif(
-    not _kernel.HAS_NUMPY, reason="numpy kernel not installed"
-)
 
-
-def _run_ac3(kernel: str):
-    saved = _kernel._active
-    _kernel._active = None
-    try:
-        config = stationary(
-            "AC3",
-            offered_load=200.0,
-            voice_ratio=0.8,
-            high_mobility=True,
-            duration=150.0,
-            seed=3,
-            kernel=kernel,
-        )
+def _run_ac3(eq5_path, path: str):
+    config = stationary(
+        "AC3",
+        offered_load=200.0,
+        voice_ratio=0.8,
+        high_mobility=True,
+        duration=150.0,
+        seed=3,
+    )
+    with eq5_path(path):
         return CellularSimulator(config).run()
-    finally:
-        _kernel._active = saved
 
 
-@requires_numpy
-def test_ac3_metrics_equivalent_across_kernels():
-    vectorized = _run_ac3("numpy")
-    fallback = _run_ac3("python")
-    assert vectorized.events_processed == fallback.events_processed
-    assert abs(
-        vectorized.blocking_probability - fallback.blocking_probability
-    ) <= 1e-9
-    assert abs(
-        vectorized.dropping_probability - fallback.dropping_probability
-    ) <= 1e-9
-    assert vectorized.metrics_key() == fallback.metrics_key()
+def test_ac3_metrics_equivalent_across_kernels(eq5_path):
+    naive = _run_ac3(eq5_path, "naive")
+    for path in eq5_path.paths:
+        result = _run_ac3(eq5_path, path)
+        assert result.events_processed == naive.events_processed, path
+        assert result.metrics_key() == naive.metrics_key(), path
+
+
+def _run_calendar_ac3(eq5_path, path: str):
+    # The §5.3 time-varying run with per-day-type pattern sets: the
+    # supply step answers it through CalendarEstimator.function_for.
+    config = time_varying(
+        "AC3", time_compression=48.0, seed=1, duration=400.0
+    )
+    simulator = CellularSimulator(config)
+    for station in simulator.network.stations:
+        station.estimator = CalendarEstimator(
+            schedule=WeekSchedule(day_seconds=config.day_seconds),
+            interval=config.t_int,
+            weights=config.weights,
+        )
+    with eq5_path(path):
+        return simulator.run()
+
+
+def test_calendar_ac3_metrics_match_naive_reference(eq5_path):
+    naive = _run_calendar_ac3(eq5_path, "naive")
+    assert naive.average_calculations > 0
+    for path in eq5_path.paths:
+        result = _run_calendar_ac3(eq5_path, path)
+        assert result.events_processed == naive.events_processed, path
+        assert result.metrics_key() == naive.metrics_key(), path
 
 
 def test_config_rejects_unknown_kernel():
-    with pytest.raises(ValueError):
-        stationary("AC3", offered_load=100.0, kernel="fortran")
+    # The estimation backend is no longer a configuration choice.
+    with pytest.raises(TypeError):
+        stationary("AC3", offered_load=100.0, kernel="numpy")
 
 
-@requires_numpy
 def test_auto_kernel_resolves_to_numpy_when_available():
-    saved = _kernel._active
-    _kernel._active = None
-    try:
-        assert _kernel.set_kernel("auto") == "numpy"
-    finally:
-        _kernel._active = saved
+    expected = "numpy" if _kernel.HAS_NUMPY else "python"
+    assert _kernel.kernel_name() == expected
